@@ -25,6 +25,13 @@ os.environ.setdefault("REPRO_SAMPLING_DIR",
                       tempfile.mkdtemp(prefix="repro-splans-"))
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden", action="store_true", default=False,
+        help="rewrite tests/data/golden_results.json from the current "
+             "code instead of checking against it")
+
+
 @pytest.fixture
 def tiny_config() -> SystemConfig:
     """1/8-scale hierarchy: big enough to partition, small enough to
