@@ -17,7 +17,7 @@ features exist specifically for on-chip temporal prefetching:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -119,14 +119,13 @@ class Cache:
         self._data_ways: List[int] = [ways] * num_sets
         #: Per-set count of invalid ways inside the data partition.
         #: Kept exact by every mutation so ``fill`` can skip the
-        #: invalid-way scan once a set is full (the steady state) and
-        #: the engine fast path gets O(1) install decisions.
+        #: invalid-way scan once a set is full (the steady state).
         self.free_ways: List[int] = [ways] * num_sets
         self.stats = CacheStats()
         #: blk -> way for every valid line (a block lives in exactly one
         #: way of its set, so the mapping is total).  Maintained by every
-        #: tag mutation; the engine fast path resolves residency through
-        #: it in O(1) instead of scanning ways.
+        #: tag mutation; ``fill`` resolves refills through it in O(1)
+        #: instead of scanning ways.
         self.tag_index: Dict[int, int] = {}
 
     # -- geometry ---------------------------------------------------------

@@ -97,11 +97,10 @@ class EventBus:
         **Contract: subscribers must not retain the event object.**  A
         handler may read any field of the :class:`HierarchyEvent` it is
         called with, but must not store a reference to the event itself
-        past its own return — copy the fields out instead.  The engine
-        fast path (:mod:`repro.sim.fastpath`) relies on this: it
-        delivers events through preallocated, reused ``HierarchyEvent``
-        instances whose fields are overwritten by the next publication.
-        Every in-tree subscriber (prefetcher trainers, usefulness
+        past its own return — copy the fields out instead.  Checkpoint
+        resume relies on this: a handler's state lives only in its own
+        snapshotted fields, so a run restored from a snapshot sees the
+        same handler state as a straight one.  Every in-tree subscriber (prefetcher trainers, usefulness
         bookkeeping, partition duelers, telemetry samplers, the
         lifecycle tracer) reads fields synchronously and retains none.
         """
@@ -151,18 +150,6 @@ class EventBus:
 
     # -- counter helpers ---------------------------------------------------
 
-    def bump(self, kind: str, level: str, origin: str = DEMAND,
-             n: int = 1) -> None:
-        """Bulk-increment one counter without event delivery.
-
-        The fast path uses this for event kinds it has proven have no
-        subscribers: ``n`` skipped publications collapse into a single
-        dict update, keeping ``counts`` bit-identical to ``n`` calls to
-        :meth:`publish`.
-        """
-        key = (kind, level, origin)
-        self.counts[key] = self.counts.get(key, 0) + n
-
     def count(self, kind: str, level: str = "", origin: str = "") -> int:
         """Total events matching ``kind`` (optionally level/origin)."""
         return sum(n for (k, lv, og), n in self.counts.items()
@@ -175,8 +162,6 @@ class EventBus:
                 for (k, lv, og), n in sorted(self.counts.items())}
 
     def reset_counts(self) -> None:
-        # In place, never rebound: the engine fast path captures this dict
-        # in its compiled closures, and a rebind would silently fork it.
         self.counts.clear()
 
     # -- checkpointing -----------------------------------------------------

@@ -351,11 +351,6 @@ class CoreHierarchy:
         # Trainer closures subscribed on behalf of attached prefetchers,
         # recorded so detach_prefetchers() can release them.
         self._pf_subs: List[tuple] = []
-        # (kind, closure, prefetcher) per trainer subscription, in
-        # subscription order.  The engine fast path (repro.sim.fastpath)
-        # matches a kind's live subscriber list against these closures
-        # to prove it may replicate the training dispatch inline.
-        self.trainer_subs: List[tuple] = []
         # Demand L2 misses that had to go below (the "uncovered" count in
         # the coverage metric).
         self.uncovered_misses = 0
@@ -372,7 +367,6 @@ class CoreHierarchy:
             trainer = self._make_l1_trainer(pf)
             self.bus.subscribe(kind, trainer)
             self._pf_subs.append((kind, trainer))
-            self.trainer_subs.append((kind, trainer, pf))
 
     def attach_l2_prefetcher(self, pf: Prefetcher) -> None:
         if pf.train_scope not in TRAIN_SCOPES:
@@ -386,7 +380,6 @@ class CoreHierarchy:
         trainer = self._make_l2_trainer(pf)
         self.bus.subscribe(EV.DEMAND_COMPLETE, trainer)
         self._pf_subs.append((EV.DEMAND_COMPLETE, trainer))
-        self.trainer_subs.append((EV.DEMAND_COMPLETE, trainer, pf))
 
     def detach_prefetchers(self) -> None:
         """Release every bus subscription taken for this core's
@@ -399,7 +392,6 @@ class CoreHierarchy:
         for kind, fn in self._pf_subs:
             self.bus.unsubscribe(kind, fn)
         self._pf_subs.clear()
-        self.trainer_subs.clear()
         pfs = list(self.l2_prefetchers)
         if self.l1_prefetcher is not None:
             pfs.append(self.l1_prefetcher)

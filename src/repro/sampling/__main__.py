@@ -31,7 +31,7 @@ from .plan import PlanStore, get_plan
 #: design.  Pure streams are deliberately absent: with an
 #: over-fetching prefetcher their DRAM queue backlog accumulates over
 #: the whole run, which bounded warm-up cannot reproduce (see DESIGN.md
-#: §9, "Limits").
+#: §8, "Limits").
 VALIDATE_WORKLOADS = ["06.omnetpp", "06.mcf", "gap.pr"]
 VALIDATE_ARMS = {"baseline": (), "streamline": ("streamline",)}
 

@@ -16,9 +16,9 @@ client (``REPRO_SERVE_URL`` re-points experiment drivers at it).
 
 Served results are byte-identical to direct :class:`SimRunner` calls —
 the wire moves the same pickled :class:`JobResult` payloads the cache
-stores — pinned by ``tests/test_serve.py``.  See DESIGN.md §8.
+stores — pinned by ``tests/test_serve.py``.  See DESIGN.md §7.
 
-Observability (DESIGN.md §10): every submission can carry a
+Observability (DESIGN.md §9): every submission can carry a
 ``traceparent`` envelope key that follows the job through broker, pool
 worker, and runlog; ``GET /metrics`` exposes each instance's
 :class:`repro.obs.metrics.MetricsRegistry` in Prometheus text format,

@@ -11,7 +11,7 @@ warmup fraction) that have no counterpart in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from ..telemetry.config import TelemetryConfig
@@ -19,6 +19,13 @@ from ..telemetry.config import TelemetryConfig
 
 #: Table II: "1/2/4/8C: 1/2/2/4 channels"
 CHANNELS_BY_CORES: Dict[int, int] = {1: 1, 2: 2, 4: 2, 8: 4}
+
+
+def format_size(nbytes: int) -> str:
+    """``2MB`` for whole mebibytes, else ``512KB`` (Table II style)."""
+    if nbytes >= 1 << 20 and nbytes % (1 << 20) == 0:
+        return f"{nbytes >> 20}MB"
+    return f"{nbytes // 1024}KB"
 
 
 @dataclass(frozen=True)
@@ -61,13 +68,6 @@ class SystemConfig:
     # Participates in job fingerprints, so telemetry-on runs key their
     # own cache entries.  See repro.telemetry.
     telemetry: Optional[TelemetryConfig] = None
-
-    # Engine fast path (see repro.sim.fastpath).  Pure execution
-    # strategy: results are bit-identical either way, so - like
-    # SimJob.resume - it is excluded from job fingerprints.  None defers
-    # to the REPRO_FASTPATH tri-state environment knob; True/False force
-    # it for this system regardless of the environment.
-    fastpath: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -115,12 +115,12 @@ class SystemConfig:
         rows = [
             ("Core", f"4GHz, {self.commit_width}-wide OoO, "
                      f"{self.rob_size}-entry ROB (timing proxy)"),
-            ("L1D", f"{self.l1d_size // 1024}KB, {self.l1d_ways}-way, "
+            ("L1D", f"{format_size(self.l1d_size)}, {self.l1d_ways}-way, "
                     f"{self.l1d_latency}-cycle latency"),
-            ("L2", f"{self.l2_size // 1024}KB, {self.l2_ways}-way, "
+            ("L2", f"{format_size(self.l2_size)}, {self.l2_ways}-way, "
                    f"{self.l2_latency}-cycle latency"),
-            ("LLC", f"{self.llc_size // (1024 * 1024)}MB "
-                    f"({self.llc_size_per_core // (1024 * 1024)}MB/core), "
+            ("LLC", f"{format_size(self.llc_size)} "
+                    f"({format_size(self.llc_size_per_core)}/core), "
                     f"{self.llc_ways}-way, {self.llc_latency}-cycle latency"),
             ("DRAM", f"{self.dram_mt_per_sec:.0f} MT/s, "
                      f"{self.channels} channel(s), "

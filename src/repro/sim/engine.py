@@ -34,10 +34,6 @@ from ..memory.hierarchy import CoreHierarchy, SharedUncore
 from ..obs import profile as obs_profile
 from ..prefetchers.base import Prefetcher
 from ..telemetry import TelemetryHarness
-from ..tracestream.chunk import MARK_CKPT, Mark
-from ..tracestream.stages import chunks_of, insert_marks
-from ..tracestream.stages import records as stream_records
-from . import fastpath
 from .config import SystemConfig
 from .stats import PrefetchReport, SimResult
 from .trace import TraceSource
@@ -277,15 +273,6 @@ class Engine:
             self.telemetry = TelemetryHarness(
                 self.bus, config.telemetry, num_cores=num_cores,
                 owner_names=names, gauges=self._telemetry_gauges())
-        # Execution strategy (never semantics): when enabled, run() and
-        # run_warmup() delegate to a bit-identical batched loop.  The
-        # span profiler needs the scalar path's per-span hooks, so that
-        # combination is rejected loudly rather than silently degraded.
-        self._fastpath_on = fastpath.resolve(config)
-        if self._fastpath_on and self._prof is not None:
-            fastpath.report_profiler_conflict()
-            self._fastpath_on = False
-        self._fastloop: Optional[object] = None
 
     def _telemetry_gauges(self) -> Dict[str, Callable[[], float]]:
         """Pull-based gauges the interval sampler reads at snapshot time."""
@@ -391,20 +378,6 @@ class Engine:
         """True once every core has crossed its warm-up boundary."""
         return self._started and self._warmed == self.num_cores
 
-    def _fastloop_for_run(self):
-        """The fast loop to delegate stepping to, or None (scalar path).
-
-        Built lazily on first use so every subscription (prefetcher
-        trainers, duelers, telemetry) is already wired when the loop
-        freezes its dispatch plans.  ``False`` caches an unsupported
-        engine shape so build() runs at most once.
-        """
-        if not self._fastpath_on or self._mark_every:
-            return None
-        if self._fastloop is None:
-            self._fastloop = fastpath.FastLoop.build(self) or False
-        return self._fastloop or None
-
     def run_warmup(self) -> "Engine":
         """Drive every core exactly to the warm-up boundary, then stop.
 
@@ -417,10 +390,6 @@ class Engine:
             raise RuntimeError("Engine.run() already completed")
         self._start()
         if any(w == 0 for w in self._warmups):
-            return self
-        fl = self._fastloop_for_run()
-        if fl is not None:
-            fl.run(stop_at_warm=True)
             return self
         prof = self._prof
         if prof is not None:
@@ -443,75 +412,19 @@ class Engine:
         self._mark_every = every
         self._on_mark = callback
 
-    def _install_inband_marks(self) -> bool:
-        """Move the periodic progress mark in band; True on success.
-
-        Single-core, trace-backed engines rebuild their record stream
-        as a marked chunk pipeline: :class:`Mark` items at exactly the
-        absolute positions the scalar modulus would fire at ride the
-        stream and invoke the hook at pull time.  That is the same
-        between-steps state point — counts/models are untouched while
-        the pull is in flight and the heap is rebuilt from model clocks
-        on restore — so snapshots taken by the hook are bit-identical
-        to the scalar path's.  Multicore and externally-streamed
-        engines keep the scalar modulus (the pipeline would have to
-        split per-core position accounting).
-        """
-        if self._streams is not None or self.num_cores != 1:
-            return False
-        trace, warm = self.traces[0], self._warmups[0]
-        if warm == 0:
-            # The scalar path never counts measured steps without a
-            # warm boundary, so there are no marks to place.
-            return True
-        hook = self._on_mark
-        assert hook is not None
-        start = self._counts[0]
-        # The scalar modulus counts the warm-boundary step itself as
-        # measured step 1 (its stats are reset after processing), so it
-        # fires after the step that brings counts to warm-1+k*every.
-        # The in-band mark at position p fires during the pull of
-        # record p — same counts, same point between steps.
-        marks = [Mark(MARK_CKPT, p)
-                 for p in range(warm - 1 + self._mark_every,
-                                len(trace) + 1, self._mark_every)
-                 if p > start]
-
-        def fire(_mark: Mark) -> None:
-            hook(self)
-
-        self._iters[0] = stream_records(
-            insert_marks(chunks_of(trace, start=start), marks,
-                         base=start),
-            on_mark=fire)
-        return True
-
     def run(self) -> "Engine":
         """Drive every core through its trace, handling warm-up resets."""
         if self._ran:
             raise RuntimeError("Engine.run() may only be called once")
         self._start()
-        fl = self._fastloop_for_run()
-        if fl is not None:
-            fl.run(stop_at_warm=False)
-            self._ran = True
-            return self
-        inband = False
-        if self._mark_every and self._on_mark is not None:
-            inband = self._install_inband_marks()
         prof = self._prof
         if prof is not None:
             prof.start("measure")
         try:
             while self._step():
                 if self._mark_every and self._warmed == self.num_cores:
-                    # Counted on both paths: measured_steps is part of
-                    # the snapshot, so in-band runs must keep it
-                    # bit-identical even though their firing comes from
-                    # the stream.
                     self._measured_steps += 1
-                    if not inband and \
-                            self._measured_steps % self._mark_every == 0 \
+                    if self._measured_steps % self._mark_every == 0 \
                             and self._on_mark is not None:
                         self._on_mark(self)
         finally:

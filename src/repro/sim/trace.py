@@ -10,7 +10,7 @@ The engine is written against the :class:`TraceSource` protocol, which
 two implementations satisfy: the fully materialized :class:`Trace`
 below, and :class:`repro.tracestream.StreamingTrace`, which replays a
 chunked on-disk store entry through mmap in constant memory.  Both hand
-out the same record tuples and the same columnar chunk views, which is
+out the same record tuples and the same chunk views, which is
 what makes the streaming path bit-identical to the in-memory one.
 
 Traces are immutable once built and can be saved/loaded as ``.npz``
@@ -19,8 +19,8 @@ files for reuse across experiments.
 
 from __future__ import annotations
 
-from typing import (Iterable, Iterator, List, NamedTuple, Optional,
-                    Protocol, Sequence, Tuple, runtime_checkable)
+from typing import (Iterable, Iterator, List, Optional, Protocol, Sequence,
+                    Tuple, runtime_checkable)
 
 import numpy as np
 
@@ -32,28 +32,13 @@ from ..tracestream.chunk import CHUNK_RECORDS, TraceChunk
 ITER_CHUNK = 1 << 16
 
 
-class TraceColumns(NamedTuple):
-    """Read-only columnar view of a trace (see :meth:`Trace.columns`).
-
-    ``blks`` is ``addrs >> 6`` (``memory.address.block_of``) vectorized
-    once per trace instead of once per record per run.
-    """
-
-    pcs: np.ndarray     # int64
-    blks: np.ndarray    # int64, addrs >> 6
-    writes: np.ndarray  # bool_
-    gaps: np.ndarray    # int32
-    deps: np.ndarray    # bool_
-
-
 @runtime_checkable
 class TraceSource(Protocol):
-    """What the engine and fast path need from a trace.
+    """What the engine and the trace pipeline need from a trace.
 
     ``iter_from`` yields plain-Python ``(pc, addr, is_write, gap, dep)``
-    tuples; ``chunk_at``/``columns_range`` hand out bounded columnar
-    windows (the unit of vectorization for the fast path and the
-    streaming pipeline).  Implementations must return identical values
+    tuples; ``chunk_at`` hands out bounded columnar windows (the unit of
+    vectorization for the streaming pipeline).  Implementations must return identical values
     for identical logical traces — the streaming/in-memory bit-identity
     guarantee rests on it.
     """
@@ -73,8 +58,6 @@ class TraceSource(Protocol):
     def iter_chunks(self, start: int = 0) -> Iterator[TraceChunk]: ...
 
     def chunk_at(self, start: int, stop: int) -> TraceChunk: ...
-
-    def columns_range(self, start: int, stop: int) -> TraceColumns: ...
 
 
 class TraceRecord:
@@ -135,9 +118,8 @@ class Trace:
                   ) -> Iterator[Tuple[int, int, bool, int, bool]]:
         """Like ``iter(trace)`` but starting at record ``start``.
 
-        The fast path and the engine's checkpoint restore use this to
-        reposition a record stream in O(1) instead of draining an
-        ``islice``.
+        The engine's checkpoint restore uses this to reposition a
+        record stream in O(1) instead of draining an ``islice``.
         """
         n = len(self.pcs)
         for lo in range(start, n, ITER_CHUNK):
@@ -147,26 +129,6 @@ class Trace:
                            self.writes[lo:hi].tolist(),
                            self.gaps[lo:hi].tolist(),
                            self.deps[lo:hi].tolist())
-
-    def columns(self) -> TraceColumns:
-        """Cached columnar view for batched consumers (sim.fastpath).
-
-        Treat the arrays as read-only; they alias the trace's own
-        storage except ``blks``, computed (and cached) on first use.
-        """
-        cols = getattr(self, "_columns", None)
-        if cols is None:
-            cols = TraceColumns(self.pcs, self.addrs >> 6, self.writes,
-                                self.gaps, self.deps)
-            self._columns = cols
-        return cols
-
-    def columns_range(self, start: int, stop: int) -> TraceColumns:
-        """Columnar view of records ``[start, stop)`` (aliasing slices)."""
-        cols = self.columns()
-        return TraceColumns(cols.pcs[start:stop], cols.blks[start:stop],
-                            cols.writes[start:stop],
-                            cols.gaps[start:stop], cols.deps[start:stop])
 
     def chunk_at(self, start: int, stop: int) -> TraceChunk:
         """Chunk view of records ``[start, stop)`` (aliasing slices)."""
@@ -193,7 +155,7 @@ class Trace:
 
     def footprint_blocks(self) -> int:
         """Number of distinct 64B blocks touched."""
-        return int(np.unique(self.columns().blks).size)
+        return int(np.unique(self.addrs >> 6).size)
 
     def unique_pcs(self) -> int:
         return int(np.unique(self.pcs).size)
@@ -223,7 +185,7 @@ class Trace:
     @classmethod
     def from_chunks(cls, name: str,
                     chunks: Iterable[TraceChunk]) -> "Trace":
-        """Materialize a chunk stream (marks excluded by the caller)."""
+        """Materialize a chunk stream."""
         parts = list(chunks)
         if not parts:
             return cls(name, [], [], [], [])
@@ -244,8 +206,8 @@ class TraceWindow:
     Satisfies :class:`TraceSource` by delegating every bounded columnar
     access to the base source with shifted offsets, so it composes with
     both the in-memory :class:`Trace` and the streaming store entry —
-    and, because the engine and fast path consume traces purely through
-    the protocol, a windowed simulation runs exactly the loop a full one
+    and, because the engine consumes traces purely through the
+    protocol, a windowed simulation runs exactly the loop a full one
     does.  This is the execution substrate of :mod:`repro.sampling`:
     a representative interval simulates as a window whose warm-up region
     is the bounded prefix immediately before it.
@@ -275,7 +237,7 @@ class TraceWindow:
             total = 0
             for lo in range(self.start, self.stop, ITER_CHUNK):
                 hi = min(self.stop, lo + ITER_CHUNK)
-                gaps = self.base.columns_range(lo, hi).gaps
+                gaps = self.base.chunk_at(lo, hi).gaps
                 total += int(gaps.sum(dtype=np.int64))
             self._instructions = total + len(self)
         return self._instructions
@@ -295,10 +257,6 @@ class TraceWindow:
 
     def chunk_at(self, start: int, stop: int) -> TraceChunk:
         return self.base.chunk_at(self.start + start, self.start + stop)
-
-    def columns_range(self, start: int, stop: int) -> TraceColumns:
-        return self.base.columns_range(self.start + start,
-                                       self.start + stop)
 
     def iter_chunks(self, start: int = 0) -> Iterator[TraceChunk]:
         n = len(self)

@@ -1,10 +1,9 @@
 """Streaming out-of-core trace pipeline.
 
 Trace flow as composable generator stages over fixed-size columnar
-chunks, with in-band control metadata (checkpoint marks, warm/measure
-boundaries, telemetry flush points) riding the stream, plus a chunked
-mmap-backed on-disk :class:`TraceStore` so paper-scale (100M+-access)
-traces generate once, persist, and replay in constant memory.
+chunks, plus a chunked mmap-backed on-disk :class:`TraceStore` so
+paper-scale (100M+-access) traces generate once, persist, and replay
+in constant memory.
 
 Knobs:
 
@@ -19,21 +18,16 @@ Knobs:
 garbage-collects store entries.
 """
 
-from .chunk import (CHUNK_RECORDS, MARK_CKPT, MARK_TELEMETRY, MARK_WARM,
-                    Mark, StreamItem, TraceChunk, concat_chunks,
-                    make_chunk)
-from .stages import (bias, chunks_of, insert_marks, interleave,
-                     periodic_marks, rechunk, records, sample, shift,
-                     slice_stream, stream_length, to_trace)
+from .chunk import CHUNK_RECORDS, TraceChunk, concat_chunks, make_chunk
+from .stages import (bias, chunks_of, interleave, rechunk, records, sample,
+                     shift, slice_stream, stream_length, to_trace)
 from .store import (ENV_DIR, FORMAT_VERSION, StreamingTrace, TraceStore,
                     TraceStoreCorrupt, default_root, entry_key)
 
 __all__ = [
-    "CHUNK_RECORDS", "MARK_CKPT", "MARK_TELEMETRY", "MARK_WARM", "Mark",
-    "StreamItem", "TraceChunk", "concat_chunks", "make_chunk",
-    "bias", "chunks_of", "insert_marks", "interleave", "periodic_marks",
-    "rechunk", "records", "sample", "shift", "slice_stream",
-    "stream_length", "to_trace",
+    "CHUNK_RECORDS", "TraceChunk", "concat_chunks", "make_chunk",
+    "bias", "chunks_of", "interleave", "rechunk", "records", "sample",
+    "shift", "slice_stream", "stream_length", "to_trace",
     "ENV_DIR", "FORMAT_VERSION", "StreamingTrace", "TraceStore",
     "TraceStoreCorrupt", "default_root", "entry_key",
 ]

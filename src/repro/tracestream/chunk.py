@@ -1,25 +1,12 @@
-"""Columnar trace chunks and in-band control marks.
+"""Columnar trace chunks.
 
 A *chunk stream* is the unit of flow in :mod:`repro.tracestream`: an
 iterator yielding :class:`TraceChunk` items (fixed-ish-size numpy
-struct-of-arrays slabs of trace records) interleaved with
-:class:`Mark` items (control metadata — checkpoint marks, warm/measure
-boundaries, telemetry flush points — that ride the stream *in band*
-without breaking it, after talkpipe's segment/bypass design).
-
-Transform stages operate on chunks and pass marks through untouched and
-in order; :func:`repro.tracestream.stages.insert_marks` splits chunks at
-mark positions, so in-order pass-through is enough to keep a mark
-exactly between the two records it was inserted between.  Every mark
-also carries its absolute record ``position`` (the index of the record
-*after* it), which is authoritative when a stage cannot preserve
-interleaving (e.g. ``rechunk`` flushing a partial buffer).
+struct-of-arrays slabs of trace records) that transform stages map,
+re-slice and merge.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Any, Dict, Union
 
 import numpy as np
 
@@ -27,11 +14,6 @@ import numpy as np
 #: large enough that per-chunk overhead vanishes, small enough that one
 #: chunk (~22 bytes/record → ~1.4MB) keeps streaming memory trivial.
 CHUNK_RECORDS = 1 << 16
-
-#: Mark kinds used by the engine / harness (stages treat kinds opaquely).
-MARK_CKPT = "ckpt"            # periodic checkpoint progress mark
-MARK_WARM = "warm"            # warm-up → measure boundary
-MARK_TELEMETRY = "telemetry"  # telemetry flush point
 
 
 class TraceChunk:
@@ -78,24 +60,6 @@ class TraceChunk:
         return TraceChunk(self.pcs[start:stop], self.addrs[start:stop],
                           self.writes[start:stop], self.gaps[start:stop],
                           self.deps[start:stop])
-
-
-@dataclass(frozen=True)
-class Mark:
-    """In-band control metadata: fires *before* the record at ``position``.
-
-    ``position`` is the absolute record index within the logical trace
-    (so a mark at position ``p`` sits between records ``p-1`` and ``p``;
-    a mark at ``position == len(trace)`` fires after the final record).
-    """
-
-    kind: str
-    position: int
-    payload: Dict[str, Any] = field(default_factory=dict)
-
-
-#: What flows through a stage: data chunks interleaved with marks.
-StreamItem = Union[TraceChunk, Mark]
 
 
 def make_chunk(pcs, addrs, writes=None, gaps=None, deps=None,

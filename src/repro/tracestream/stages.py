@@ -1,30 +1,25 @@
 """Composable generator stages over chunk streams.
 
-Every stage takes an iterator of :class:`~repro.tracestream.chunk.StreamItem`
-(chunks interleaved with in-band :class:`Mark` items) and yields the
-same.  Data transforms (:func:`bias`, :func:`shift`, :func:`sample`,
-:func:`slice_stream`, :func:`interleave`) are pure chunk→chunk numpy
-ops; marks bypass them untouched and in order, so control metadata
-rides the stream without the stage knowing it exists (talkpipe's
-bypass design).  :func:`insert_marks` splits chunks at mark positions,
-which is what makes in-order pass-through position-exact.
+Every stage takes an iterator of
+:class:`~repro.tracestream.chunk.TraceChunk` and yields the same.  Data
+transforms (:func:`bias`, :func:`shift`, :func:`sample`,
+:func:`slice_stream`, :func:`interleave`, :func:`rechunk`) are pure
+chunk→chunk numpy ops.
 
 The terminal stages are :func:`records` (flatten to the engine's
-``(pc, addr, is_write, gap, dep)`` scalar tuples, firing a callback at
-each mark) and :func:`to_trace` (materialize an in-memory
+``(pc, addr, is_write, gap, dep)`` scalar tuples) and :func:`to_trace`
+(materialize an in-memory
 :class:`~repro.sim.trace.Trace`); :meth:`repro.tracestream.store.TraceStore.put`
 is the persistent sink.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chunk import (CHUNK_RECORDS, Mark, StreamItem, TraceChunk,
-                    concat_chunks)
+from .chunk import CHUNK_RECORDS, TraceChunk, concat_chunks
 
 #: One engine record: (pc, addr, is_write, gap, dep).
 Record = Tuple[int, int, bool, int, bool]
@@ -44,17 +39,10 @@ def chunks_of(source, start: int = 0,
         yield source.chunk_at(lo, min(n, lo + size))
 
 
-# -- transforms (marks bypass untouched) ---------------------------------------
+# -- transforms ----------------------------------------------------------------
 
-def _map_chunks(stream: Iterable[StreamItem],
-                fn: Callable[[TraceChunk], TraceChunk]
-                ) -> Iterator[StreamItem]:
-    for item in stream:
-        yield fn(item) if isinstance(item, TraceChunk) else item
-
-
-def bias(stream: Iterable[StreamItem], core: int,
-         region_bits: int) -> Iterator[StreamItem]:
+def bias(stream: Iterable[TraceChunk], core: int,
+         region_bits: int) -> Iterator[TraceChunk]:
     """Fold addresses into ``core``'s private region (multicore mixes).
 
     Vectorized equivalent of the per-record
@@ -66,34 +54,30 @@ def bias(stream: Iterable[StreamItem], core: int,
     def fold(c: TraceChunk) -> TraceChunk:
         return c.replace(addrs=(c.addrs & mask) | region)
 
-    return _map_chunks(stream, fold)
+    return map(fold, stream)
 
 
-def shift(stream: Iterable[StreamItem], pc_offset: int = 0,
-          addr_offset: int = 0) -> Iterator[StreamItem]:
+def shift(stream: Iterable[TraceChunk], pc_offset: int = 0,
+          addr_offset: int = 0) -> Iterator[TraceChunk]:
     """Relocate PCs/addresses (phase composition, tenant isolation)."""
 
     def move(c: TraceChunk) -> TraceChunk:
         return c.replace(pcs=c.pcs + pc_offset,
                          addrs=c.addrs + addr_offset)
 
-    return _map_chunks(stream, move)
+    return map(move, stream)
 
 
-def sample(stream: Iterable[StreamItem], every: int) -> Iterator[StreamItem]:
+def sample(stream: Iterable[TraceChunk], every: int) -> Iterator[TraceChunk]:
     """Keep every ``every``-th record (systematic sampling).
 
     Phase is continuous across chunk boundaries: record ``i`` of the
-    input survives iff ``i % every == 0``.  Mark positions refer to the
-    *input* stream and are not rescaled.
+    input survives iff ``i % every == 0``.
     """
     if every < 1:
         raise ValueError("sample interval must be >= 1")
     seen = 0
     for item in stream:
-        if not isinstance(item, TraceChunk):
-            yield item
-            continue
         m = len(item)
         first = (-seen) % every
         seen += m
@@ -103,19 +87,11 @@ def sample(stream: Iterable[StreamItem], every: int) -> Iterator[StreamItem]:
         yield TraceChunk(*(col[idx] for col in item))
 
 
-def slice_stream(stream: Iterable[StreamItem], start: int,
-                 stop: Optional[int] = None) -> Iterator[StreamItem]:
-    """Records ``start .. stop`` of the stream (like ``trace.slice``).
-
-    Marks inside the window pass through; marks outside are dropped.
-    """
+def slice_stream(stream: Iterable[TraceChunk], start: int,
+                 stop: Optional[int] = None) -> Iterator[TraceChunk]:
+    """Records ``start .. stop`` of the stream (like ``trace.slice``)."""
     pos = 0
     for item in stream:
-        if not isinstance(item, TraceChunk):
-            if start <= item.position and (stop is None
-                                           or item.position <= stop):
-                yield item
-            continue
         m = len(item)
         lo, hi = pos, pos + m
         pos = hi
@@ -127,47 +103,31 @@ def slice_stream(stream: Iterable[StreamItem], start: int,
             break
 
 
-def interleave(streams: Sequence[Iterable[StreamItem]],
-               granularity: int = CHUNK_RECORDS) -> Iterator[StreamItem]:
+def interleave(streams: Sequence[Iterable[TraceChunk]],
+               granularity: int = CHUNK_RECORDS) -> Iterator[TraceChunk]:
     """Round-robin merge: ``granularity`` records from each live stream.
 
-    Marks are emitted with their owning stream's slice.  Exhausted
-    streams drop out; the merge ends when all are dry.
+    Exhausted streams drop out; the merge ends when all are dry.
     """
-    rechunked = [iter(rechunk(s, granularity)) for s in streams]
-    live = list(rechunked)
+    live = [iter(rechunk(s, granularity)) for s in streams]
     while live:
-        nxt: List[Iterator[StreamItem]] = []
+        nxt: List[Iterator[TraceChunk]] = []
         for it in live:
-            emitted_chunk = False
-            for item in it:
-                yield item
-                if isinstance(item, TraceChunk):
-                    emitted_chunk = True
-                    break
-            if emitted_chunk:
+            chunk = next(it, None)
+            if chunk is not None:
+                yield chunk
                 nxt.append(it)
         live = nxt
 
 
-def rechunk(stream: Iterable[StreamItem],
-            size: int = CHUNK_RECORDS) -> Iterator[StreamItem]:
-    """Normalize chunk sizes to exactly ``size`` (last chunk partial).
-
-    A mark flushes the pending partial buffer first, so the mark stays
-    exactly between the records it arrived between.
-    """
+def rechunk(stream: Iterable[TraceChunk],
+            size: int = CHUNK_RECORDS) -> Iterator[TraceChunk]:
+    """Normalize chunk sizes to exactly ``size`` (last chunk partial)."""
     if size < 1:
         raise ValueError("chunk size must be >= 1")
     pending: List[TraceChunk] = []
     buffered = 0
     for item in stream:
-        if not isinstance(item, TraceChunk):
-            if pending:
-                yield concat_chunks(pending)
-                pending, buffered = [], 0
-            yield item
-            continue
         off = 0
         m = len(item)
         while off < m:
@@ -183,89 +143,29 @@ def rechunk(stream: Iterable[StreamItem],
         yield concat_chunks(pending)
 
 
-def insert_marks(stream: Iterable[StreamItem], marks: Sequence[Mark],
-                 base: int = 0) -> Iterator[StreamItem]:
-    """Merge ``marks`` (sorted by position) into the stream in band.
-
-    Chunks are split at mark positions, so each mark lands exactly
-    between the records its ``position`` names and stays there through
-    any chain of pass-through transforms.  Positions are absolute:
-    ``base`` names the absolute index of the stream's first record (for
-    a stream produced by ``chunks_of(source, start)``, pass the same
-    ``start``); marks at positions < base fire immediately.
-    """
-    queue = sorted(marks, key=lambda m: m.position)
-    qi = 0
-    pos = base
-    for item in stream:
-        if not isinstance(item, TraceChunk):
-            yield item
-            continue
-        m = len(item)
-        lo = 0
-        while qi < len(queue) and queue[qi].position <= pos + m:
-            cut = queue[qi].position - pos
-            if cut > lo:
-                yield item.slice(lo, cut)
-                lo = cut
-            elif cut < lo:  # mark behind the stream: fire immediately
-                pass
-            yield queue[qi]
-            qi += 1
-        if lo < m:
-            yield item.slice(lo, m)
-        pos += m
-    while qi < len(queue):  # marks past the end still fire
-        yield queue[qi]
-        qi += 1
-
-
-def periodic_marks(start: int, every: int, limit: int,
-                   kind: str) -> List[Mark]:
-    """Periodic marks at ``start + k*every`` (k >= 1), up to ``limit``.
-
-    This is the in-band form of the engine's ``REPRO_CKPT_MARK``
-    cadence: the first mark fires after ``every`` records past
-    ``start`` (the warm-up boundary), the last at or before ``limit``.
-    """
-    if every < 1:
-        raise ValueError("mark interval must be >= 1")
-    return [Mark(kind, p)
-            for p in range(start + every, limit + 1, every)]
-
-
 # -- sinks ---------------------------------------------------------------------
 
-def records(stream: Iterable[StreamItem],
-            on_mark: Optional[Callable[[Mark], None]] = None
-            ) -> Iterator[Record]:
+def records(stream: Iterable[TraceChunk]) -> Iterator[Record]:
     """Flatten a chunk stream into the engine's scalar record tuples.
 
     Conversion is per-chunk ``tolist`` (the ``Trace.__iter__`` recipe:
-    constant memory, no per-record numpy scalar boxing).  Marks fire
-    ``on_mark`` exactly between the two records they sit between.
+    constant memory, no per-record numpy scalar boxing).
     """
     for item in stream:
-        if not isinstance(item, TraceChunk):
-            if on_mark is not None:
-                on_mark(item)
-            continue
         yield from zip(item.pcs.tolist(), item.addrs.tolist(),
                        item.writes.tolist(), item.gaps.tolist(),
                        item.deps.tolist())
 
 
-def to_trace(name: str, stream: Iterable[StreamItem]):
-    """Materialize a (mark-free view of a) stream as an in-memory Trace."""
+def to_trace(name: str, stream: Iterable[TraceChunk]):
+    """Materialize a stream as an in-memory Trace."""
     from ..sim.trace import Trace
 
-    chunks = [item for item in stream if isinstance(item, TraceChunk)]
-    merged = concat_chunks(chunks)
+    merged = concat_chunks(stream)
     return Trace(name, merged.pcs, merged.addrs, merged.writes,
                  merged.gaps, merged.deps)
 
 
-def stream_length(stream: Iterable[StreamItem]) -> int:
+def stream_length(stream: Iterable[TraceChunk]) -> int:
     """Total records in a stream (consumes it)."""
-    return sum(len(item) for item in stream
-               if isinstance(item, TraceChunk))
+    return sum(len(item) for item in stream)

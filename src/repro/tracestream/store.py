@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..envknobs import env_dir
-from .chunk import CHUNK_RECORDS, StreamItem, TraceChunk
+from .chunk import CHUNK_RECORDS, TraceChunk
 from . import stages
 
 #: On-disk format version; a mismatch is treated as a miss, never read.
@@ -87,10 +87,9 @@ class StreamingTrace:
 
     Satisfies the same protocol as the in-memory ``Trace`` — ``name``,
     ``len``, ``iter_from`` / ``__iter__``, ``chunk_at``,
-    ``columns_range``, ``instructions`` — but reads columns from
-    mmap'd chunk files, keeping resident memory constant in trace
-    length.  A two-entry chunk cache makes sequential replay and the
-    fast path's slab walk touch each file once.
+    ``instructions`` — but reads columns from mmap'd chunk files,
+    keeping resident memory constant in trace length.  A two-entry
+    chunk cache makes sequential replay touch each file once.
     """
 
     def __init__(self, directory: pathlib.Path, header: Dict[str, Any]):
@@ -146,14 +145,6 @@ class StreamingTrace:
         return TraceChunk(merged["pcs"], merged["addrs"],
                           merged["writes"], merged["gaps"],
                           merged["deps"])
-
-    def columns_range(self, start: int, stop: int):
-        """Fast-path columnar view (``blks`` computed per window)."""
-        from ..sim.trace import TraceColumns
-
-        c = self.chunk_at(start, stop)
-        return TraceColumns(c.pcs, c.addrs >> 6, c.writes, c.gaps,
-                            c.deps)
 
     def iter_chunks(self, start: int = 0) -> Iterator[TraceChunk]:
         return stages.chunks_of(self, start, self._chunk)
@@ -245,12 +236,11 @@ class TraceStore:
     # -- write -------------------------------------------------------------
 
     def put(self, workload: str, n: int, seed: int,
-            stream: Iterable[StreamItem],
+            stream: Iterable[TraceChunk],
             name: Optional[str] = None) -> StreamingTrace:
         """Drain ``stream`` to a new entry (atomic; constant memory).
 
-        Marks in the stream are dropped: the store persists data, and
-        control metadata is re-inserted on replay.  A concurrent writer
+        A concurrent writer
         of the same key wins or loses atomically; either way the caller
         gets a readable entry back.
         """
@@ -265,8 +255,6 @@ class TraceStore:
             instructions = 0
             idx = 0
             for item in stages.rechunk(stream, self.chunk_records):
-                if not isinstance(item, TraceChunk):
-                    continue
                 for col, dtype in _COLUMNS:
                     arr = np.ascontiguousarray(getattr(item, col))
                     if str(arr.dtype) != dtype:

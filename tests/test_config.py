@@ -27,6 +27,14 @@ class TestDefaults:
         text = DEFAULT_CONFIG.table()
         assert "ROB" in text and "LLC" in text and "DRAM" in text
 
+    def test_table_prints_sizes_in_kb_or_mb(self):
+        paper = DEFAULT_CONFIG.table()
+        assert "LLC  | 2MB (2MB/core)," in paper
+        assert "L1D  | 48KB," in paper and "L2   | 512KB," in paper
+        scaled = DEFAULT_CONFIG.scaled_down(4).table()
+        assert "LLC  | 512KB (512KB/core)," in scaled
+        assert "L1D  | 12KB," in scaled and "L2   | 128KB," in scaled
+
 
 class TestScaling:
     def test_scaled_down_divides_caches_only(self):

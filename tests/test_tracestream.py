@@ -1,15 +1,15 @@
-"""Streaming trace pipeline: stages, marks, on-disk store, parity.
+"""Streaming trace pipeline: stages, on-disk store, parity.
 
 The subsystem invariant (DESIGN.md "Streaming trace pipeline"): routing
 trace acquisition and replay through chunk streams — vectorized
-generators, transform stages, in-band marks, the mmap-backed
+generators, transform stages, the mmap-backed
 :class:`~repro.tracestream.store.TraceStore` — is a pure execution
 strategy.  Every consumer sees record-for-record the same stream, and
-simulated results are **bit-identical** to the in-memory scalar path.
+simulated results are **bit-identical** to the in-memory path.
 These tests assert that for the stage algebra, the store round-trip
 (including corruption and races degrading to misses), the engine across
-workload archetypes × prefetchers, telemetry series, the in-band
-checkpoint-mark path, and the runner's knob plumbing.
+workload archetypes × prefetchers, telemetry series, and the runner's
+knob plumbing.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.checkpoint import state_equal
 from repro.envknobs import env_dir, env_tristate
 from repro.runner import SimJob
 from repro.runner import traces as runner_traces
@@ -31,9 +30,8 @@ from repro.sim.trace import Trace, TraceSource
 from repro.telemetry import TelemetryConfig
 from repro.tracestream import chunk as tschunk
 from repro.tracestream import stages
-from repro.tracestream.chunk import (CHUNK_RECORDS, MARK_CKPT, Mark,
-                                     TraceChunk, concat_chunks,
-                                     make_chunk)
+from repro.tracestream.chunk import (CHUNK_RECORDS, TraceChunk,
+                                     concat_chunks, make_chunk)
 from repro.tracestream.store import (StreamingTrace, TraceStore,
                                      default_root, entry_key)
 from repro.workloads import make, make_chunks
@@ -58,8 +56,7 @@ def ramp_stream(total: int, sizes):
 
 
 def flat_addrs(stream) -> np.ndarray:
-    cols = [item.addrs for item in stream
-            if isinstance(item, TraceChunk)]
+    cols = [item.addrs for item in stream]
     return np.concatenate(cols) if cols else np.empty(0, np.int64)
 
 
@@ -140,52 +137,18 @@ class TestStages:
         assert len(out[1]) == 8 and out[1][0] == 6400
         assert sum(len(x) for x in out) == 26
 
-    def test_rechunk_normalizes_and_flushes_on_marks(self):
-        mark = Mark(MARK_CKPT, 5)
-        items = [ramp_chunk(3), mark, ramp_chunk(10, base=3)]
+    def test_rechunk_normalizes_sizes(self):
+        items = [ramp_chunk(3), ramp_chunk(10, base=3)]
         out = list(stages.rechunk(iter(items), size=4))
-        # The pending partial [0,3) flushed before the mark.
-        assert isinstance(out[0], TraceChunk) and len(out[0]) == 3
-        assert out[1] is mark
-        assert [len(c) for c in out[2:]] == [4, 4, 2]
+        assert [len(c) for c in out] == [4, 4, 4, 1]
         assert np.array_equal(flat_addrs(out), ramp_chunk(13).addrs)
         with pytest.raises(ValueError):
             list(stages.rechunk(iter(items), size=0))
 
-    def test_insert_marks_splits_at_exact_positions(self):
-        marks = [Mark(MARK_CKPT, 4), Mark(MARK_CKPT, 10),
-                 Mark(MARK_CKPT, 99)]
-        out = list(stages.insert_marks(ramp_stream(12, [8, 8]), marks))
-        kinds = [len(i) if isinstance(i, TraceChunk) else i
-                 for i in out]
-        assert kinds == [4, marks[0], 4, 2, marks[1], 2, marks[2]]
-        assert np.array_equal(flat_addrs(out), ramp_chunk(12).addrs)
-
-    def test_insert_marks_base_offsets_absolute_positions(self):
-        trace = make("06.lbm", 400, 7)
-        marks = [Mark(MARK_CKPT, 300)]
-        out = list(stages.insert_marks(
-            stages.chunks_of(trace, start=256, size=128), marks,
-            base=256))
-        assert [len(i) if isinstance(i, TraceChunk) else i
-                for i in out] == [44, marks[0], 84, 16]
-
-    def test_records_fires_marks_between_the_right_records(self):
-        fired = []
-        seen = 0
-        stream = stages.insert_marks(ramp_stream(20, [16, 16]),
-                                     [Mark(MARK_CKPT, 13)])
-        for _rec in stages.records(
-                stream, on_mark=lambda m: fired.append((m, seen))):
-            seen += 1
-        assert fired == [(Mark(MARK_CKPT, 13), 13)]
-        assert seen == 20
-
-    def test_periodic_marks_cadence_and_validation(self):
-        got = stages.periodic_marks(100, 50, 260, MARK_CKPT)
-        assert [m.position for m in got] == [150, 200, 250]
-        with pytest.raises(ValueError):
-            stages.periodic_marks(0, 0, 10, MARK_CKPT)
+    def test_records_flattens_in_order(self):
+        chunks = list(ramp_stream(20, [16, 16]))
+        assert list(stages.records(iter(chunks))) == \
+            list(stages.to_trace("r", iter(chunks)))
 
     def test_to_trace_and_stream_length(self):
         t = stages.to_trace("r", ramp_stream(30, [16, 16]))
@@ -223,18 +186,18 @@ class TestTraceStore:
         again = store.get("gap.pr", 5000, 7)
         assert again is not None and list(again) == list(direct)
 
-    def test_columns_range_across_chunk_boundaries(self, store):
+    def test_chunk_at_across_chunk_boundaries(self, store):
         replay = self.put(store)
         direct = make("gap.pr", 5000, 7)
         for lo, hi in [(0, 10), (self.CHUNK - 3, self.CHUNK + 3),
                        (2 * self.CHUNK, 2 * self.CHUNK),
                        (4990, 5000)]:
-            got, want = replay.columns_range(lo, hi), \
-                direct.columns_range(lo, hi)
+            got, want = replay.chunk_at(lo, hi), direct.chunk_at(lo, hi)
             for g, w in zip(got, want):
-                assert np.array_equal(g, w), (lo, hi)
+                assert g.dtype == w.dtype and np.array_equal(g, w), \
+                    (lo, hi)
         with pytest.raises(IndexError):
-            replay.columns_range(4990, 5001)
+            replay.chunk_at(4990, 5001)
 
     def test_iter_from_matches_trace(self, store):
         replay = self.put(store)
@@ -326,59 +289,6 @@ class TestEngineParity:
         assert series[0] == series[1]
 
 
-class TestInbandMarks:
-    def build(self, streams=None, n=8000):
-        trace = make("gap.pr", n, 42)
-        engine = Engine([trace], parity_config(),
-                        l2_prefetchers=[spec("streamline").build],
-                        streams=streams and [streams(trace)])
-        return trace, engine
-
-    def test_inband_marks_match_scalar_modulus_path(self):
-        # In-band (trace-backed single core) vs. scalar (external
-        # stream forces the modulus path): same firing positions, same
-        # snapshot states, same result.
-        snaps = {}
-        results = {}
-        for mode, streams in (("inband", None), ("scalar", iter)):
-            _trace, engine = self.build(streams)
-            taken = snaps[mode] = []
-            engine.set_mark_hook(
-                1000, lambda e, t=taken: t.append(e.state_dict()))
-            engine.run()
-            results[mode] = engine.collect()
-        assert len(snaps["inband"]) == len(snaps["scalar"]) > 0
-        for a, b in zip(snaps["inband"], snaps["scalar"]):
-            assert state_equal(a, b)
-        assert results["inband"] == results["scalar"]
-
-    def test_resume_skips_already_fired_marks(self):
-        # Restore at mark k: the continued run fires only marks > k and
-        # finishes bit-identical to the uninterrupted run.
-        _trace, engine = self.build()
-        snaps = []
-        engine.set_mark_hook(1000,
-                             lambda e: snaps.append(e.state_dict()))
-        straight = engine.run().collect()
-        _trace, fresh = self.build()
-        fired = []
-        fresh.set_mark_hook(1000, lambda e: fired.append(
-            e.state_dict()["counts"][0]))
-        fresh.load_state(snaps[1])
-        resumed = fresh.run().collect()
-        assert resumed == straight
-        assert fired == [s["counts"][0] for s in snaps[2:]]
-
-    def test_no_marks_without_warmup(self):
-        trace = make("gap.pr", 4000, 42)
-        engine = Engine([trace], parity_config(warmup_fraction=0.0),
-                        l2_prefetchers=[spec("streamline").build])
-        fired = []
-        engine.set_mark_hook(500, lambda e: fired.append(1))
-        engine.run()
-        assert fired == []
-
-
 # -- runner knob plumbing --------------------------------------------------
 
 
@@ -461,7 +371,7 @@ class TestRunnerKnobs:
         runner_traces.clear()
         assert dataclasses.asdict(streamed) == dataclasses.asdict(plain)
         # The strategy knob is excluded from fingerprints (pure
-        # execution detail, like config.fastpath).
+        # execution detail, like resume).
         job = SimJob.single("gap.pr", 5000, parity_config(),
                             l2=["triangel"])
         assert "TRACE_STREAM" not in json.dumps(job.canonical())
