@@ -4,9 +4,9 @@ Each case below is simulated on the default engine path and compared
 with ``tests/data/golden_results.json``, which pins three things:
 
 * ``digest`` — sha256 of the canonical JSON of the run's
-  ``dataclasses.asdict(SimResult)`` plus its bus counters
-  (``EventBus.counts_flat()``), so any change to a simulated number or
-  to event accounting shows up;
+  ``dataclasses.asdict(SimResult)`` (every core's, for a multi-core
+  mix) plus its bus counters (``EventBus.counts_flat()``), so any
+  change to a simulated number or to event accounting shows up;
 * ``fingerprint`` — ``SimJob.fingerprint()``, the result-cache key;
 * ``warmup_fingerprint`` — ``SimJob.warmup_fingerprint()``, the
   warm-up checkpoint key.
@@ -56,6 +56,14 @@ def _cases():
                                           l1=None, l2=("triangel",))
     cases["gap.pr/streamline/resumed"] = dict(
         workload="gap.pr", l1=None, l2=("streamline",), resume=True)
+    # Shared-LLC mixes: per-core event routing (trainers see only their
+    # own core) and LLC-side dueling over every core's demand traffic.
+    for mix in (("gap.pr", "06.lbm"),
+                ("06.mcf", "17.bwaves", "gap.pr", "06.milc")):
+        for label in ("stride", "stride+streamline"):
+            l1, l2 = CONFIGS[label]
+            cases[f"mix{len(mix)}:{'+'.join(mix)}/{label}"] = dict(
+                workloads=mix, l1=l1, l2=l2)
     return cases
 
 
@@ -67,6 +75,9 @@ def make_job(case) -> SimJob:
         if case.get("telemetry") else None
     config = dataclasses.replace(SystemConfig().scaled_down(4),
                                  warmup_fraction=0.5, telemetry=telemetry)
+    if "workloads" in case:
+        return SimJob.multi(case["workloads"], N, config, l1=case["l1"],
+                            l2=case["l2"], seed=SEED)
     return SimJob.single(case["workload"], N, config, l1=case["l1"],
                          l2=case["l2"], seed=SEED,
                          resume=case.get("resume", False))
@@ -75,7 +86,8 @@ def make_job(case) -> SimJob:
 def simulate(job: SimJob, snapshot_dir: pathlib.Path):
     """Run ``job`` on a fresh engine; a resuming job first warms up one
     engine, round-trips its snapshot through the on-disk format, and
-    measures on a second engine restored from it."""
+    measures on a second engine restored from it.  Returns the single
+    core's SimResult, or every core's for a multi-core job."""
     engine = job._build_engine()
     if job.resume:
         engine.run_warmup()
@@ -84,12 +96,17 @@ def simulate(job: SimJob, snapshot_dir: pathlib.Path):
         _, state = load(path)
         engine = job._build_engine()
         engine.load_state(state)
-    result = engine.run().collect()[0]
+    results = engine.run().collect()
+    result = results if job.kind == "multi" else results[0]
     return result, engine.bus.counts_flat()
 
 
 def digest(result, counts) -> str:
-    blob = json.dumps({"result": dataclasses.asdict(result),
+    if isinstance(result, list):
+        fields = [dataclasses.asdict(r) for r in result]
+    else:
+        fields = dataclasses.asdict(result)
+    blob = json.dumps({"result": fields,
                        "events": counts}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
