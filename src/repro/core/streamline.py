@@ -161,7 +161,8 @@ class StreamlinePrefetcher(Prefetcher):
         # is about to find — as in the hardware race it models.
         self._stripe = (hier.core_id, cores)
         if self.dynamic:
-            hier.bus.subscribe(EV.ACCESS, self._on_llc_demand)
+            hier.bus.subscribe(EV.ACCESS, self._on_llc_demand,
+                               origin="demand")
             self._duel_bus = hier.bus
 
     def detach(self, hier) -> None:
@@ -171,8 +172,6 @@ class StreamlinePrefetcher(Prefetcher):
 
     def _on_llc_demand(self, ev) -> None:
         """LLC-side dueling feed (any core's demand access)."""
-        if ev.origin != "demand":
-            return
         blk = ev.blk
         offset, step = self._stripe
         llc_set = blk % (self.partitioner.llc_sets * step)

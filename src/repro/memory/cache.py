@@ -75,15 +75,27 @@ class CacheStats:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-@dataclass
+@dataclass(init=False)
 class AccessResult:
     """Outcome of a cache lookup."""
 
+    __slots__ = ("hit", "latency", "was_prefetched", "owner",
+                 "evicted_blk")
+
     hit: bool
     latency: float
-    was_prefetched: bool = False   # first demand touch of a prefetched line
-    owner: int = -1                # prefetcher that brought the line in
-    evicted_blk: Optional[int] = None
+    was_prefetched: bool           # first demand touch of a prefetched line
+    owner: int                     # prefetcher that brought the line in
+    evicted_blk: Optional[int]
+
+    def __init__(self, hit: bool, latency: float,
+                 was_prefetched: bool = False, owner: int = -1,
+                 evicted_blk: Optional[int] = None) -> None:
+        self.hit = hit
+        self.latency = latency
+        self.was_prefetched = was_prefetched
+        self.owner = owner
+        self.evicted_blk = evicted_blk
 
 
 class Cache:
@@ -123,15 +135,18 @@ class Cache:
         self.free_ways: List[int] = [ways] * num_sets
         self.stats = CacheStats()
         #: blk -> way for every valid line (a block lives in exactly one
-        #: way of its set, so the mapping is total).  Maintained by every
-        #: tag mutation; ``fill`` resolves refills through it in O(1)
-        #: instead of scanning ways.
+        #: way of its set, so the mapping is total, and every valid line
+        #: sits inside its set's data partition).  Maintained by every tag
+        #: mutation; the one residency index, so ``probe``, ``lookup``,
+        #: ``fill`` and ``invalidate`` find a block in O(1) instead of
+        #: scanning ways.
         self.tag_index: Dict[int, int] = {}
+        self._set_mask = num_sets - 1
 
     # -- geometry ---------------------------------------------------------
 
     def set_of(self, blk: int) -> int:
-        return blk & (self.num_sets - 1)
+        return blk & self._set_mask
 
     def data_ways(self, set_idx: int) -> int:
         """Number of ways currently available to data in this set."""
@@ -160,38 +175,33 @@ class Cache:
 
     def probe(self, blk: int) -> bool:
         """Tag check with no side effects."""
-        set_idx = self.set_of(blk)
-        nd = self._data_ways[set_idx]
-        return any(line.valid and line.blk == blk
-                   for line in self.lines[set_idx][:nd])
+        return blk in self.tag_index
 
     def lookup(self, blk: int, now: float, is_write: bool = False,
                touch: bool = True) -> AccessResult:
         """Demand lookup.  Does *not* fill on miss (hierarchy does that)."""
-        self.stats.accesses += 1
-        set_idx = self.set_of(blk)
-        nd = self._data_ways[set_idx]
-        row = self.lines[set_idx]
-        for way in range(nd):
-            line = row[way]
-            if line.valid and line.blk == blk:
-                self.stats.hits += 1
-                if touch:
-                    self.policy.on_hit(set_idx, way)
-                if is_write:
-                    line.dirty = True
-                extra = max(0.0, line.ready - now)
-                was_pf = False
-                if line.prefetched and not line.pf_touched:
-                    line.pf_touched = True
-                    was_pf = True
-                    self.stats.useful_prefetches += 1
-                    if extra > 0:
-                        self.stats.late_prefetch_hits += 1
-                return AccessResult(True, self.latency + extra, was_pf,
-                                    owner=line.owner)
-        self.stats.misses += 1
-        return AccessResult(False, self.latency)
+        stats = self.stats
+        stats.accesses += 1
+        way = self.tag_index.get(blk)
+        if way is None:
+            stats.misses += 1
+            return AccessResult(False, self.latency)
+        set_idx = blk & self._set_mask
+        line = self.lines[set_idx][way]
+        stats.hits += 1
+        if touch:
+            self.policy.on_hit(set_idx, way)
+        if is_write:
+            line.dirty = True
+        extra = max(0.0, line.ready - now)
+        was_pf = False
+        if line.prefetched and not line.pf_touched:
+            line.pf_touched = True
+            was_pf = True
+            stats.useful_prefetches += 1
+            if extra > 0:
+                stats.late_prefetch_hits += 1
+        return AccessResult(True, self.latency + extra, was_pf, line.owner)
 
     def fill(self, blk: int, ready: float, pc: int = 0,
              prefetch: bool = False, dirty: bool = False,
@@ -201,7 +211,7 @@ class Cache:
         ``ready`` is the cycle at which the data actually arrives; demand
         hits before then pay the difference.
         """
-        set_idx = self.set_of(blk)
+        set_idx = blk & self._set_mask
         nd = self._data_ways[set_idx]
         if nd == 0:
             return None  # set fully ceded to metadata; bypass
@@ -250,15 +260,13 @@ class Cache:
 
     def invalidate(self, blk: int) -> bool:
         """Drop a block if present (used by multi-core coherence shootdowns)."""
-        set_idx = self.set_of(blk)
-        for way, line in enumerate(self.lines[set_idx]):
-            if line.valid and line.blk == blk:
-                self.tag_index.pop(blk, None)
-                line.reset()
-                if way < self._data_ways[set_idx]:
-                    self.free_ways[set_idx] += 1
-                return True
-        return False
+        way = self.tag_index.pop(blk, None)
+        if way is None:
+            return False
+        set_idx = blk & self._set_mask
+        self.lines[set_idx][way].reset()
+        self.free_ways[set_idx] += 1
+        return True
 
     def occupancy(self) -> float:
         """Fraction of data-partition lines currently valid."""

@@ -24,9 +24,9 @@ counters, which catches double-count bugs in the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .request import DEMAND
+from .request import DEMAND, ORIGINS
 
 
 class EV:
@@ -82,17 +82,51 @@ Subscriber = Callable[[HierarchyEvent], None]
 
 #: Event counters are keyed by (kind, level, origin).
 CountKey = Tuple[str, str, str]
+#: Dispatch routes are keyed by (kind, level, origin, core_id).
+RouteKey = Tuple[str, str, str, int]
+#: A compiled route: the event's counter cell (a one-element list shared
+#: by every core's route to the same counter) and its subscribers.
+Route = Tuple[List[int], Tuple[Subscriber, ...]]
+
+#: The levels events are published at.
+LEVELS = ("l1d", "l2", "llc")
+
+
+class _Subscription(NamedTuple):
+    fn: Subscriber
+    level: str              # "" matches every level
+    core_id: Optional[int]  # None matches every core
+    origin: str             # "" matches every origin
+
+    def matches(self, level: str, origin: str, core_id: int) -> bool:
+        return ((not self.level or self.level == level)
+                and (self.core_id is None or self.core_id == core_id)
+                and (not self.origin or self.origin == origin))
 
 
 class EventBus:
-    """Synchronous pub/sub with per-(kind, level, origin) counters."""
+    """Synchronous pub/sub with per-(kind, level, origin) counters.
+
+    Dispatch is routed: the first publish of each (kind, level, origin,
+    core_id) compiles a route holding the counter cell and the matching
+    subscribers, in subscription order; later publishes reuse it.  Any
+    subscribe or unsubscribe drops every route, so the next publish
+    recompiles against the current subscriptions.  A publish that no
+    subscriber matches bumps its counter and builds no event object.
+    """
 
     def __init__(self) -> None:
-        self._subs: Dict[str, List[Subscriber]] = {}
-        self.counts: Dict[CountKey, int] = {}
+        self._subs: Dict[str, List[_Subscription]] = {}
+        self._cells: Dict[CountKey, List[int]] = {}
+        self._routes: Dict[RouteKey, Route] = {}
 
-    def subscribe(self, kind: str, fn: Subscriber) -> None:
+    def subscribe(self, kind: str, fn: Subscriber, *, level: str = "",
+                  core_id: Optional[int] = None, origin: str = "") -> None:
         """Register ``fn`` for ``kind``; delivery in subscription order.
+
+        ``level``, ``core_id`` and ``origin`` filter what ``fn`` receives
+        (empty/``None`` matches everything), so a handler never sees,
+        and need not test for, events of other levels, cores or origins.
 
         **Contract: subscribers must not retain the event object.**  A
         handler may read any field of the :class:`HierarchyEvent` it is
@@ -100,26 +134,37 @@ class EventBus:
         past its own return — copy the fields out instead.  Checkpoint
         resume relies on this: a handler's state lives only in its own
         snapshotted fields, so a run restored from a snapshot sees the
-        same handler state as a straight one.  Every in-tree subscriber (prefetcher trainers, usefulness
-        bookkeeping, partition duelers, telemetry samplers, the
-        lifecycle tracer) reads fields synchronously and retains none.
+        same handler state as a straight one.  Every in-tree subscriber
+        (prefetcher trainers, usefulness bookkeeping, partition duelers,
+        telemetry samplers, the lifecycle tracer) reads fields
+        synchronously and retains none.
         """
         if kind not in EV.ALL:
             raise ValueError(f"unknown event kind {kind!r}")
-        self._subs.setdefault(kind, []).append(fn)
+        if level and level not in LEVELS:
+            raise ValueError(f"unknown level {level!r}; known: {LEVELS}")
+        if origin and origin not in ORIGINS:
+            raise ValueError(f"unknown origin {origin!r}; known: {ORIGINS}")
+        self._subs.setdefault(kind, []).append(
+            _Subscription(fn, level, core_id, origin))
+        self._routes.clear()
 
     def unsubscribe(self, kind: str, fn: Subscriber) -> None:
-        """Remove ``fn`` from ``kind``; a no-op if it is not subscribed.
+        """Remove the earliest subscription of ``fn`` to ``kind``; a
+        no-op if there is none.
 
         Idempotent by design: detach paths (probes, telemetry, duelers)
         may run more than once, and a double-unsubscribe must not raise
         or remove someone else's handler.
         """
-        subs = self._subs.get(kind)
-        if subs and fn in subs:
-            subs.remove(fn)
-            if not subs:
-                del self._subs[kind]
+        subs = self._subs.get(kind, [])
+        for i, sub in enumerate(subs):
+            if sub.fn == fn:
+                del subs[i]
+                if not subs:
+                    del self._subs[kind]
+                self._routes.clear()
+                return
 
     def subscriber_count(self, kind: str = "") -> int:
         """Live subscribers for ``kind``, or across all kinds.
@@ -132,15 +177,25 @@ class EventBus:
             return len(self._subs.get(kind, ()))
         return sum(len(subs) for subs in self._subs.values())
 
+    def _compile(self, key: RouteKey) -> Route:
+        kind, level, origin, core_id = key
+        cell = self._cells.setdefault((kind, level, origin), [0])
+        subs = tuple(sub.fn for sub in self._subs.get(kind, ())
+                     if sub.matches(level, origin, core_id))
+        route = self._routes[key] = (cell, subs)
+        return route
+
     def publish(self, kind: str, level: str, core_id: int, blk: int,
                 pc: int = 0, origin: str = DEMAND, now: float = 0.0,
                 hit: bool = False, was_prefetched: bool = False,
                 owner: int = -1, dirty: bool = False) -> None:
         """Count the event and deliver it to subscribers, synchronously."""
-        key = (kind, level, origin)
-        counts = self.counts
-        counts[key] = counts.get(key, 0) + 1
-        subs = self._subs.get(kind)
+        key = (kind, level, origin, core_id)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._compile(key)
+        cell, subs = route
+        cell[0] += 1
         if not subs:
             return
         event = HierarchyEvent(kind, level, core_id, blk, pc, origin,
@@ -150,9 +205,15 @@ class EventBus:
 
     # -- counter helpers ---------------------------------------------------
 
+    @property
+    def counts(self) -> Dict[CountKey, int]:
+        """Counters by ``(kind, level, origin)``, in first-publish order
+        (a snapshot; mutating it does not change the bus)."""
+        return {key: cell[0] for key, cell in self._cells.items()}
+
     def count(self, kind: str, level: str = "", origin: str = "") -> int:
         """Total events matching ``kind`` (optionally level/origin)."""
-        return sum(n for (k, lv, og), n in self.counts.items()
+        return sum(cell[0] for (k, lv, og), cell in self._cells.items()
                    if k == kind and (not level or lv == level)
                    and (not origin or og == origin))
 
@@ -162,16 +223,19 @@ class EventBus:
                 for (k, lv, og), n in sorted(self.counts.items())}
 
     def reset_counts(self) -> None:
-        self.counts.clear()
+        # Routes hold cells, so they go too: counters reappear in
+        # first-publish order, as a cleared dict would.
+        self._cells.clear()
+        self._routes.clear()
 
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
         """Counters only; subscriptions are wiring, rebuilt on attach."""
-        return {"counts": [[k, lv, og, n]
-                           for (k, lv, og), n in self.counts.items()]}
+        return {"counts": [[k, lv, og, cell[0]]
+                           for (k, lv, og), cell in self._cells.items()]}
 
     def load_state(self, state: Dict[str, object]) -> None:
-        self.counts.clear()
-        self.counts.update({(str(k), str(lv), str(og)): int(n)
+        self.reset_counts()
+        self._cells.update({(str(k), str(lv), str(og)): [int(n)]
                             for k, lv, og, n in state["counts"]})

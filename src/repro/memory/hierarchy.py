@@ -147,6 +147,8 @@ class UncoreLevel:
         self.uncore = uncore
         self.core_id = core_id
         self.profiler = profiler
+        if profiler is None:
+            self.access = self._access  # type: ignore[method-assign]
 
     def access(self, req: MemoryRequest) -> float:
         """Access LLC (and DRAM on miss); fills the LLC on a miss.
@@ -250,6 +252,8 @@ class CacheLevel:
         self.sink_writes = sink_writes
         self.profiler = profiler
         self._span = "lookup:" + name
+        if profiler is None:
+            self.access = self._access  # type: ignore[method-assign]
 
     def access(self, req: MemoryRequest) -> float:
         """Serve ``req`` at this level; returns the latency contribution."""
@@ -365,7 +369,8 @@ class CoreHierarchy:
         pf.attach(self)
         for kind in (EV.LOOKUP_HIT, EV.LOOKUP_MISS):
             trainer = self._make_l1_trainer(pf)
-            self.bus.subscribe(kind, trainer)
+            self.bus.subscribe(kind, trainer, level="l1d",
+                               core_id=self.core_id)
             self._pf_subs.append((kind, trainer))
 
     def attach_l2_prefetcher(self, pf: Prefetcher) -> None:
@@ -378,7 +383,7 @@ class CoreHierarchy:
         self.l2_prefetchers.append(pf)
         pf.attach(self)
         trainer = self._make_l2_trainer(pf)
-        self.bus.subscribe(EV.DEMAND_COMPLETE, trainer)
+        self.bus.subscribe(EV.DEMAND_COMPLETE, trainer, core_id=self.core_id)
         self._pf_subs.append((EV.DEMAND_COMPLETE, trainer))
 
     def detach_prefetchers(self) -> None:
@@ -399,12 +404,11 @@ class CoreHierarchy:
             pf.detach(self)
 
     def _make_l1_trainer(self, pf: Prefetcher):
-        """L1D training: every demand lookup at this core's L1D."""
+        """L1D training: every demand lookup at this core's L1D (the
+        subscription filters out other levels and cores)."""
         prof = self.profiler
         if prof is None:
             def train(ev: HierarchyEvent) -> None:
-                if ev.level != "l1d" or ev.core_id != self.core_id:
-                    return
                 for cand in pf.train(ev.pc, ev.blk, ev.hit,
                                      ev.was_prefetched, ev.now):
                     self.issue_prefetch(cand, ev.pc, ev.now, pf.owner_id,
@@ -414,8 +418,6 @@ class CoreHierarchy:
         issue_span = "issue:" + pf.name
 
         def train_profiled(ev: HierarchyEvent) -> None:
-            if ev.level != "l1d" or ev.core_id != self.core_id:
-                return
             prof.start(train_span)
             try:
                 cands = list(pf.train(ev.pc, ev.blk, ev.hit,
@@ -433,13 +435,12 @@ class CoreHierarchy:
         return train_profiled
 
     def _make_l2_trainer(self, pf: Prefetcher):
-        """L2 training: gated by the prefetcher's declared train_scope."""
+        """L2 training: this core's demand completions, gated by the
+        prefetcher's declared train_scope."""
         all_l2 = pf.train_scope == TRAIN_SCOPE_ALL_L2
         prof = self.profiler
         if prof is None:
             def train(ev: HierarchyEvent) -> None:
-                if ev.core_id != self.core_id:
-                    return
                 if all_l2 or not ev.hit or ev.was_prefetched:
                     for cand in pf.train(ev.pc, ev.blk, ev.hit,
                                          ev.was_prefetched, ev.now):
@@ -450,8 +451,6 @@ class CoreHierarchy:
         issue_span = "issue:" + pf.name
 
         def train_profiled(ev: HierarchyEvent) -> None:
-            if ev.core_id != self.core_id:
-                return
             if all_l2 or not ev.hit or ev.was_prefetched:
                 prof.start(train_span)
                 try:

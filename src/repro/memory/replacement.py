@@ -68,6 +68,7 @@ class LRUPolicy(ReplacementPolicy):
         super().__init__(num_sets, num_ways)
         self._clock = 0
         self._stamp = [[0] * num_ways for _ in range(num_sets)]
+        self._all_ways = range(num_ways)
 
     def _touch(self, set_idx: int, way: int) -> None:
         self._clock += 1
@@ -81,7 +82,11 @@ class LRUPolicy(ReplacementPolicy):
 
     def victim(self, set_idx: int, ways: Sequence[int]) -> int:
         stamps = self._stamp[set_idx]
-        return min(ways, key=lambda w: stamps[w])
+        if ways == self._all_ways:
+            # Every way is a candidate: the first least-recent stamp,
+            # found in C.
+            return stamps.index(min(stamps))
+        return min(ways, key=stamps.__getitem__)
 
     def stack_distance(self, set_idx: int, way: int) -> int:
         """Number of ways in this set more recently used than ``way``.

@@ -13,7 +13,7 @@ events; the request object is what ties one access's events together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 #: Request origins.  ``WRITEBACK`` and ``METADATA`` never build full
@@ -26,18 +26,28 @@ METADATA = "metadata"
 ORIGINS = (DEMAND, PREFETCH, WRITEBACK, METADATA)
 
 
-@dataclass
+@dataclass(init=False)
 class LevelOutcome:
     """What one cache level did with a request."""
 
+    __slots__ = ("level", "hit", "was_prefetched", "owner", "latency")
+
     level: str                    # "l1d" | "l2" | "llc"
     hit: bool
-    was_prefetched: bool = False  # first demand touch of a prefetched line
-    owner: int = -1               # prefetcher that brought the line in
-    latency: float = 0.0          # this level's latency contribution
+    was_prefetched: bool          # first demand touch of a prefetched line
+    owner: int                    # prefetcher that brought the line in
+    latency: float                # this level's latency contribution
+
+    def __init__(self, level: str, hit: bool, was_prefetched: bool = False,
+                 owner: int = -1, latency: float = 0.0) -> None:
+        self.level = level
+        self.hit = hit
+        self.was_prefetched = was_prefetched
+        self.owner = owner
+        self.latency = latency
 
 
-@dataclass
+@dataclass(init=False)
 class MemoryRequest:
     """One access flowing down (and back up) the hierarchy.
 
@@ -46,6 +56,9 @@ class MemoryRequest:
     which the request is acting at the current level.
     """
 
+    __slots__ = ("pc", "addr", "blk", "is_write", "origin", "core_id",
+                 "now", "latency", "owner", "outcomes")
+
     pc: int
     addr: int
     blk: int
@@ -53,9 +66,24 @@ class MemoryRequest:
     origin: str
     core_id: int
     now: float
-    latency: float = 0.0
-    owner: int = -1               # issuing prefetcher (prefetch origin)
-    outcomes: List[LevelOutcome] = field(default_factory=list)
+    latency: float
+    owner: int                    # issuing prefetcher (prefetch origin)
+    outcomes: List[LevelOutcome]
+
+    def __init__(self, pc: int, addr: int, blk: int, is_write: bool,
+                 origin: str, core_id: int, now: float,
+                 latency: float = 0.0, owner: int = -1,
+                 outcomes: Optional[List[LevelOutcome]] = None) -> None:
+        self.pc = pc
+        self.addr = addr
+        self.blk = blk
+        self.is_write = is_write
+        self.origin = origin
+        self.core_id = core_id
+        self.now = now
+        self.latency = latency
+        self.owner = owner
+        self.outcomes = [] if outcomes is None else outcomes
 
     @property
     def clock(self) -> float:

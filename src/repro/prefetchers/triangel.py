@@ -209,7 +209,8 @@ class TriangelPrefetcher(Prefetcher):
         self._stripe = (hier.core_id, cores)
         self._duel_events = 0
         if self.adaptive and not self.dedicated:
-            hier.bus.subscribe(EV.ACCESS, self._on_llc_demand)
+            hier.bus.subscribe(EV.ACCESS, self._on_llc_demand,
+                               origin="demand")
             self._duel_bus = hier.bus
 
     def detach(self, hier) -> None:
@@ -218,8 +219,6 @@ class TriangelPrefetcher(Prefetcher):
             self._duel_bus = None
 
     def _on_llc_demand(self, ev) -> None:
-        if ev.origin != "demand":
-            return
         blk = ev.blk
         offset, step = self._stripe
         llc_set = blk % (self.partitioner.llc_sets * step)

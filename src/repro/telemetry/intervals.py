@@ -91,42 +91,31 @@ class IntervalSampler:
         self._gauge_cols: Dict[str, List[float]] = \
             {g: [] for g in self.gauges}
         self._core_rate_cols: Dict[int, List[float]] = {}
-        # One handler per event kind, fanning into the matching counters.
-        self._by_kind: Dict[str, List[str]] = {}
-        for name in self.counters:
-            kind = COUNTER_SPECS[name][0]
-            self._by_kind.setdefault(kind, []).append(name)
+        # One handler per counter; its subscription filters by the
+        # counter's level and origin.
         self._handlers: List[Tuple[str, Callable[[HierarchyEvent], None]]] = []
-        for kind in self._by_kind:
-            handler = self._make_handler(kind)
+        for name in self.counters:
+            kind, level, origin = COUNTER_SPECS[name]
+            handler = self._make_handler(name)
             self._handlers.append((kind, handler))
-            bus.subscribe(kind, handler)
-        # Pacing subscriptions (shared with counting when l1d hits/misses
-        # are themselves sampled — the handlers above only count).
+            bus.subscribe(kind, handler, level=level, origin=origin)
+        # Pacing subscriptions (after the counting ones, so a snapshot
+        # taken on an l1d lookup includes that lookup's own count).
         for kind in (EV.LOOKUP_HIT, EV.LOOKUP_MISS):
             self._handlers.append((kind, self._on_l1d_lookup))
-            bus.subscribe(kind, self._on_l1d_lookup)
+            bus.subscribe(kind, self._on_l1d_lookup, level="l1d")
 
     # -- event side ---------------------------------------------------------
 
-    def _make_handler(self, kind: str):
-        names = self._by_kind[kind]
-        specs = [COUNTER_SPECS[n] for n in names]
+    def _make_handler(self, name: str):
         cum = self._cum
 
         def handle(ev: HierarchyEvent) -> None:
-            for name, (_, level, origin) in zip(names, specs):
-                if level and ev.level != level:
-                    continue
-                if origin and ev.origin != origin:
-                    continue
-                cum[name] += 1
+            cum[name] += 1
         return handle
 
     def _on_l1d_lookup(self, ev: HierarchyEvent) -> None:
         """Pacing: one L1D lookup == one committed demand access."""
-        if ev.level != "l1d":
-            return
         self._accesses += 1
         if ev.now > self._clock:
             self._clock = ev.now

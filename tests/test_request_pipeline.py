@@ -66,6 +66,152 @@ class TestEventBus:
         assert seen[-1] == ("second", 8)
 
 
+class TestEventRouting:
+    """Subscription filters and the compiled per-route dispatch."""
+
+    def test_filtered_and_unfiltered_keep_subscription_order(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(EV.FILL, lambda ev: seen.append("all"))
+        bus.subscribe(EV.FILL, lambda ev: seen.append("l2"), level="l2")
+        bus.subscribe(EV.FILL, lambda ev: seen.append("core0"), core_id=0)
+        bus.subscribe(EV.FILL, lambda ev: seen.append("last"))
+        bus.publish(EV.FILL, "l2", 0, 7)
+        assert seen == ["all", "l2", "core0", "last"]
+        seen.clear()
+        bus.publish(EV.FILL, "l1d", 1, 7)
+        assert seen == ["all", "last"]
+
+    def test_filters_receive_exactly_the_matching_events(self):
+        bus = EventBus()
+        got = {"level": [], "core": [], "origin": [], "all": []}
+        bus.subscribe(EV.FILL, lambda ev: got["level"].append(ev.blk),
+                      level="l1d")
+        bus.subscribe(EV.FILL, lambda ev: got["core"].append(ev.blk),
+                      core_id=2)
+        bus.subscribe(EV.FILL, lambda ev: got["origin"].append(ev.blk),
+                      origin="prefetch")
+        bus.subscribe(EV.FILL, lambda ev: got["all"].append(ev.blk),
+                      level="l2", core_id=1, origin="writeback")
+        blk = 0
+        events = []
+        for level in ("l1d", "l2", "llc"):
+            for core in range(3):
+                for origin in ("demand", "prefetch", "writeback"):
+                    bus.publish(EV.FILL, level, core, blk, origin=origin)
+                    events.append((blk, level, core, origin))
+                    blk += 1
+        assert got["level"] == [b for b, lv, _, _ in events if lv == "l1d"]
+        assert got["core"] == [b for b, _, c, _ in events if c == 2]
+        assert got["origin"] == [b for b, _, _, og in events
+                                 if og == "prefetch"]
+        assert got["all"] == [b for b, lv, c, og in events
+                              if (lv, c, og) == ("l2", 1, "writeback")]
+        assert bus.count(EV.FILL) == len(events)
+
+    def test_unsubscribe_reroutes_the_next_publish(self):
+        bus = EventBus()
+        seen = []
+        a = lambda ev: seen.append(("a", ev.blk))   # noqa: E731
+        b = lambda ev: seen.append(("b", ev.blk))   # noqa: E731
+        bus.subscribe(EV.FILL, a, level="l2")
+        bus.subscribe(EV.FILL, b)
+        bus.publish(EV.FILL, "l2", 0, 1)            # compiles the route
+        bus.unsubscribe(EV.FILL, a)
+        bus.publish(EV.FILL, "l2", 0, 2)
+        bus.subscribe(EV.FILL, a)
+        bus.publish(EV.FILL, "l2", 0, 3)
+        assert seen == [("a", 1), ("b", 1), ("b", 2), ("b", 3), ("a", 3)]
+
+    def test_unsubscribe_from_inside_a_handler(self):
+        bus = EventBus()
+        seen = []
+
+        def once(ev):
+            seen.append(("once", ev.blk))
+            bus.unsubscribe(EV.FILL, once)
+
+        bus.subscribe(EV.FILL, once)
+        bus.subscribe(EV.FILL, lambda ev: seen.append(("after", ev.blk)))
+        bus.publish(EV.FILL, "l2", 0, 1)
+        bus.publish(EV.FILL, "l2", 0, 2)
+        # The publish in flight finishes its compiled route; the next
+        # one is routed without the removed handler.
+        assert seen == [("once", 1), ("after", 1), ("after", 2)]
+
+    def test_detach_during_a_run_stops_training(self):
+        core, uncore = build()
+        pf = Recorder(TRAIN_SCOPE_ALL_L2)
+        core.attach_l1_prefetcher(pf)
+        core.access(0x1, 0x1000, False, 0.0)
+        core.access(0x1, 0x2000, False, 10.0)
+        assert len(pf.events) == 2
+        before = uncore.bus.count(EV.LOOKUP_MISS, level="l1d")
+        core.detach_prefetchers()
+        core.access(0x1, 0x3000, False, 20.0)
+        assert len(pf.events) == 2
+        assert uncore.bus.count(EV.LOOKUP_MISS, level="l1d") == before + 1
+
+    def test_unmatched_publish_counts_but_builds_no_event(self, monkeypatch):
+        import repro.memory.events as events
+        built = []
+
+        class Counting(events.HierarchyEvent):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(events, "HierarchyEvent", Counting)
+        bus = EventBus()
+        seen = []
+        bus.subscribe(EV.FILL, seen.append, level="l1d", core_id=0)
+        bus.publish(EV.FILL, "l2", 0, 1)          # wrong level
+        bus.publish(EV.FILL, "l1d", 1, 2)         # wrong core
+        bus.publish(EV.EVICTION, "l1d", 0, 3)     # nobody subscribed
+        assert built == []
+        assert bus.counts_flat() == {"eviction@l1d:demand": 1,
+                                     "fill@l1d:demand": 1,
+                                     "fill@l2:demand": 1}
+        bus.publish(EV.FILL, "l1d", 0, 4)
+        assert built == [EV.FILL] and [ev.blk for ev in seen] == [4]
+
+    def test_counters_survive_reset_and_round_trip(self):
+        def traffic(bus):
+            for core in (0, 1):
+                bus.publish(EV.FILL, "l2", core, 1)
+                bus.publish(EV.LOOKUP_MISS, "l1d", core, 1)
+                bus.publish(EV.FILL, "llc", core, 1, origin="writeback")
+
+        bus = EventBus()
+        bus.subscribe(EV.FILL, lambda ev: None, core_id=0)
+        traffic(bus)
+        flat = bus.counts_flat()
+        state = bus.state_dict()
+        bus.reset_counts()
+        assert bus.counts_flat() == {} and bus.state_dict() == \
+            {"counts": []}
+        traffic(bus)                     # the routes are compiled again
+        assert bus.counts_flat() == flat and bus.state_dict() == state
+        fresh = EventBus()
+        fresh.load_state(state)
+        assert fresh.counts_flat() == flat
+        traffic(fresh)
+        bus.load_state(bus.state_dict())  # over compiled routes
+        traffic(bus)
+        assert bus.counts_flat() == fresh.counts_flat()
+        assert bus.counts_flat()["fill@l2:demand"] == 4
+
+    @pytest.mark.parametrize("filt", [{"level": "l3"},
+                                      {"origin": "speculative"}])
+    def test_unknown_level_or_origin_rejected(self, filt):
+        bus = EventBus()
+        with pytest.raises(ValueError, match="unknown"):
+            bus.subscribe(EV.FILL, lambda ev: None, **filt)
+        assert bus.subscriber_count() == 0
+
+
 class TestRequestPipeline:
     def test_cold_miss_records_every_level(self):
         core, _ = build()
