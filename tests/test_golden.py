@@ -56,6 +56,21 @@ def _cases():
                                           l1=None, l2=("triangel",))
     cases["gap.pr/streamline/resumed"] = dict(
         workload="gap.pr", l1=None, l2=("streamline",), resume=True)
+    # The remaining prefetch paths: Triage resizes the LLC metadata
+    # partition (set_data_ways); Berti prefetches into the L1D through
+    # the L2 probe of issue_prefetch; IPCP, SPP-PPF and Bingo train on
+    # every L2 access, fill the L2 and evict unused prefetches.
+    cases["gap.pr/stride+triage"] = dict(workload="gap.pr", l1="stride",
+                                         l2=("triage",))
+    cases["06.mcf/berti"] = dict(workload="06.mcf", l1="berti", l2=())
+    # Under an L2 prefetcher some Berti candidates already sit in the
+    # L2, so the L1 prefetch is served from there.
+    cases["06.lbm/berti+ipcp"] = dict(workload="06.lbm", l1="berti",
+                                      l2=("ipcp",))
+    for workload, l2 in (("06.lbm", "ipcp"), ("17.xalancbmk", "spp-ppf"),
+                         ("gap.pr", "bingo")):
+        cases[f"{workload}/stride+{l2}"] = dict(workload=workload,
+                                                l1="stride", l2=(l2,))
     # Shared-LLC mixes: per-core event routing (trainers see only their
     # own core) and LLC-side dueling over every core's demand traffic.
     for mix in (("gap.pr", "06.lbm"),
