@@ -5,7 +5,6 @@ from .cache import AccessResult, Cache, CacheStats, Line
 from .dram import DRAM, DRAMStats
 from .events import EV, EventBus, HierarchyEvent
 from .hierarchy import CacheLevel, CoreHierarchy, SharedUncore, UncoreLevel
-from .request import LevelOutcome, MemoryRequest
 from .metadata_store import MetadataTraffic, PartitionController
 from .replacement import (HawkeyeLitePolicy, LRUPolicy, RandomPolicy,
                           ReplacementPolicy, SRRIPPolicy, make_policy)
@@ -16,7 +15,6 @@ __all__ = [
     "DRAM", "DRAMStats",
     "EV", "EventBus", "HierarchyEvent",
     "CacheLevel", "CoreHierarchy", "SharedUncore", "UncoreLevel",
-    "LevelOutcome", "MemoryRequest",
     "MetadataTraffic", "PartitionController",
     "HawkeyeLitePolicy", "LRUPolicy", "RandomPolicy", "ReplacementPolicy",
     "SRRIPPolicy", "make_policy",

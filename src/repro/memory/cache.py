@@ -142,6 +142,8 @@ class Cache:
         #: scanning ways.
         self.tag_index: Dict[int, int] = {}
         self._set_mask = num_sets - 1
+        #: The line in no row that ``fill`` swaps in for an evicted one.
+        self._spare = Line()
 
     # -- geometry ---------------------------------------------------------
 
@@ -206,10 +208,13 @@ class Cache:
     def fill(self, blk: int, ready: float, pc: int = 0,
              prefetch: bool = False, dirty: bool = False,
              owner: int = -1) -> Optional[Line]:
-        """Install ``blk``; returns the evicted line (a copy) if any.
+        """Install ``blk``; returns the evicted line, if any.
 
         ``ready`` is the cycle at which the data actually arrives; demand
-        hits before then pay the difference.
+        hits before then pay the difference.  The returned line is the
+        victim itself, swapped out of its row for the cache's spare line:
+        it stays valid only until the next ``fill`` of this cache, which
+        may reuse it, so read what you need from it before then.
         """
         set_idx = blk & self._set_mask
         nd = self._data_ways[set_idx]
@@ -228,21 +233,16 @@ class Cache:
                     self.free_ways[set_idx] -= 1
                     break
         if way is None:
+            # The set is full (free_ways is exact): swap the victim out
+            # of its row for the spare instead of copying it.
             way = self.policy.victim(set_idx, range(nd))
-            victim_line = row[way]
-            if victim_line.valid:
-                self.tag_index.pop(victim_line.blk, None)
-                evicted = Line()
-                evicted.blk = victim_line.blk
-                evicted.valid = True
-                evicted.dirty = victim_line.dirty
-                evicted.prefetched = victim_line.prefetched
-                evicted.pf_touched = victim_line.pf_touched
-                evicted.pc = victim_line.pc
-                evicted.owner = victim_line.owner
-                self.stats.evictions += 1
-                if victim_line.dirty:
-                    self.stats.writebacks += 1
+            evicted = row[way]
+            self.tag_index.pop(evicted.blk)
+            row[way] = self._spare
+            self._spare = evicted
+            self.stats.evictions += 1
+            if evicted.dirty:
+                self.stats.writebacks += 1
         line = row[way]
         self.tag_index[blk] = way
         line.blk = blk

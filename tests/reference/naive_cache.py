@@ -20,10 +20,13 @@ class NaiveCache:
         return self._find(blk)[1] is not None
 
     def lookup(self, blk, now, is_write=False):
-        """(hit, latency, was_prefetched, owner)"""
+        """(hit, latency, was_prefetched, owner, late): ``late`` when the
+        first demand touch of a prefetch comes before its fill is ready
+        (decided from the cycles, not from the latency, which may round
+        a tiny wait away)."""
         s, way = self._find(blk)
         if way is None:
-            return False, self.latency, False, -1
+            return False, self.latency, False, -1, False
         line = self.sets[s][way]
         self.clock += 1
         line["stamp"] = self.clock
@@ -31,7 +34,7 @@ class NaiveCache:
         was_pf = line["prefetched"] and not line["touched"]
         line["touched"] = line["touched"] or was_pf
         return (True, self.latency + max(0.0, line["ready"] - now), was_pf,
-                line["owner"])
+                line["owner"], was_pf and line["ready"] > now)
 
     def fill(self, blk, ready, pc, prefetch, dirty, owner):
         """(way filled, evicted line or None); way is None on a bypass."""

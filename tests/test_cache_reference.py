@@ -6,6 +6,11 @@ sequences run on a real LRU ``Cache`` and on ``NaiveCache`` (linear way
 scans, no index), and every outcome must agree: hit/miss, latency,
 prefetch crediting, the way a fill lands in, the evicted line, every
 resident line's fields and the ``CacheStats`` counters.
+
+``fill`` hands back the victim itself, swapped out of its row for the
+cache's spare line, so the test also checks that line objects are never
+shared: no ``Line`` sits in two places, the spare sits in no row, and a
+returned victim keeps its fields until the next ``fill``.
 """
 
 from collections import Counter
@@ -57,12 +62,19 @@ def model_fields(line):
             line["pc"], line["owner"])
 
 
+def check_lines_unshared(cache):
+    placed = [id(line) for row in cache.lines for line in row]
+    assert len(set(placed)) == len(placed)
+    assert id(cache._spare) not in placed
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(OPS, min_size=10, max_size=120))
 def test_cache_matches_way_scan_model(ops):
     cache = Cache("T", SETS * WAYS * 64, WAYS, LATENCY, "lru")
     model = NaiveCache(SETS, WAYS, LATENCY)
     stats = Counter()
+    victim = None  # the last fill's returned line and its fields
     for op, *args in ops:
         if op == "fill":
             blk, ready, prefetch, dirty, owner = args
@@ -73,19 +85,22 @@ def test_cache_matches_way_scan_model(ops):
             assert way_of(cache, blk) == way
             assert (None if evicted is None else line_fields(evicted)) == \
                 (None if want is None else model_fields(want))
+            victim = None if evicted is None else \
+                (evicted, line_fields(evicted))
             stats["prefetch_fills"] += prefetch and way is not None
             stats["evictions"] += want is not None
             stats["writebacks"] += want is not None and want["dirty"]
         elif op == "lookup":
             blk, now, is_write = args
             res = cache.lookup(blk, now, is_write)
-            hit, latency, was_pf, owner = model.lookup(blk, now, is_write)
+            hit, latency, was_pf, owner, late = model.lookup(blk, now,
+                                                             is_write)
             assert (res.hit, res.latency, res.was_prefetched, res.owner) \
                 == (hit, latency, was_pf, owner)
             stats["accesses"] += 1
             stats["hits" if hit else "misses"] += 1
             stats["useful_prefetches"] += was_pf
-            stats["late_prefetch_hits"] += was_pf and latency > LATENCY
+            stats["late_prefetch_hits"] += late
         elif op == "probe":
             assert cache.probe(args[0]) == model.probe(args[0])
         elif op == "invalidate":
@@ -102,3 +117,6 @@ def test_cache_matches_way_scan_model(ops):
             for row, nd in zip(cache.lines, cache._data_ways)]
         assert cache.stats.as_dict() == {
             k: stats[k] for k in cache.stats.as_dict()}
+        check_lines_unshared(cache)
+        if victim is not None:
+            assert line_fields(victim[0]) == victim[1]

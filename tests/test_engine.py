@@ -1,10 +1,13 @@
-"""Tests for the timing-proxy core model and the single-core engine."""
+"""Tests for the timing-proxy core model and the engine's stepping."""
+
+import dataclasses
+import heapq
 
 import pytest
 
 from repro.prefetchers.stride import StridePrefetcher
 from repro.sim.config import SystemConfig
-from repro.sim.engine import CoreModel, run_single
+from repro.sim.engine import CoreModel, Engine, run_single
 from repro.sim.trace import TraceBuilder
 
 from conftest import chase_trace
@@ -126,3 +129,57 @@ class TestDepTiming:
         r_dep = run_single(dep, tiny_config)
         r_ind = run_single(indep, tiny_config)
         assert r_dep.ipc < r_ind.ipc
+
+
+class TestStepping:
+    """The one stepping loop behind ``_step``, ``run_warmup`` and ``run``."""
+
+    def two_cores(self, config):
+        # Different lengths: core 0 runs out 2,000 records before core 1.
+        return Engine([chase_trace(n=3000), stream_trace(n=5000)], config,
+                      l1_prefetcher=StridePrefetcher)
+
+    def test_run_equals_single_steps_with_uneven_traces(self, tiny_config):
+        ran = self.two_cores(tiny_config).run()
+        stepped = self.two_cores(tiny_config)
+        stepped._start()
+        steps = 0
+        while stepped._step():
+            steps += 1
+            assert stepped._counts[0] <= 3000
+        assert steps == 8000
+        assert stepped._counts == ran._counts == [3000, 5000]
+        assert not stepped._step()
+        assert stepped.collect() == ran.collect()
+        assert stepped.bus.counts_flat() == ran.bus.counts_flat()
+
+    def test_warmup_then_run_equals_straight_run(self, tiny_config):
+        config = dataclasses.replace(tiny_config, warmup_fraction=0.5)
+        fired = {}
+
+        def engine(name):
+            e = Engine([chase_trace(n=4000)], config,
+                       l1_prefetcher=StridePrefetcher)
+            fired[name] = 0
+            e.set_mark_hook(500, lambda _: fired.__setitem__(
+                name, fired[name] + 1))
+            return e
+
+        straight = engine("straight").run()
+        split = engine("split").run_warmup()
+        assert split.warmed and split._counts == [2000]
+        assert fired["split"] == 0
+        split.run()
+        assert split.collect() == straight.collect()
+        assert split.bus.counts_flat() == straight.bus.counts_flat()
+        assert fired["split"] == fired["straight"] == 4
+
+    def test_single_core_skips_the_heap(self, tiny_config, chase,
+                                        monkeypatch):
+        want = run_single(chase, tiny_config)
+
+        def forbidden(*args):
+            raise AssertionError("heap used at N=1")
+        monkeypatch.setattr(heapq, "heappop", forbidden)
+        monkeypatch.setattr(heapq, "heappush", forbidden)
+        assert run_single(chase, tiny_config) == want

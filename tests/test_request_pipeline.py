@@ -1,4 +1,4 @@
-"""Tests for the MemoryRequest pipeline, event bus, and train scopes."""
+"""Tests for the level chain, event bus, and train scopes."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.events import EV, EventBus
 from repro.memory.hierarchy import CoreHierarchy, SharedUncore
-from repro.memory.request import DEMAND, MemoryRequest
+from repro.memory.request import DEMAND
 from repro.prefetchers.base import (Prefetcher, TRAIN_SCOPE_ALL_L2,
                                     TRAIN_SCOPE_TEMPORAL)
 from repro.sim.multicore import REGION_BITS, REGION_MASK, _biased
@@ -214,25 +214,27 @@ class TestEventRouting:
 
 class TestRequestPipeline:
     def test_cold_miss_records_every_level(self):
-        core, _ = build()
-        req = MemoryRequest(0x1, 0x1000, block_of(0x1000), False, DEMAND,
-                            0, 0.0)
-        core.l1_level.access(req)
-        assert [(o.level, o.hit) for o in req.outcomes] == \
+        core, uncore = build()
+        blk = block_of(0x1000)
+        latency = core.l1_level.access(0x1, blk, False, DEMAND, 0.0, 0.0)
+        levels = (core.l1_level, core.l2_level, core.uncore_level)
+        assert [(lv.name, lv.hit) for lv in levels] == \
             [("l1d", False), ("l2", False), ("llc", False)]
-        assert req.latency == pytest.approx(
-            sum(o.latency for o in req.outcomes))
-        assert req.latency > 100  # went to DRAM
-        assert req.clock == req.now + req.latency
+        # The uncore's share on its own: an identical, idle uncore.
+        fresh, _ = build()
+        llc = fresh.uncore_level.access(0x1, blk, False, DEMAND, 0.0, 0.0)
+        assert latency == core.l1d.latency + core.l2.latency + llc
+        assert latency > 100  # went to DRAM
 
     def test_l1_hit_stops_at_first_level(self):
         core, _ = build()
         core.access(0x1, 0x1000, False, 0.0)
-        req = MemoryRequest(0x1, 0x1000, block_of(0x1000), False, DEMAND,
-                            0, 1000.0)
-        core.l1_level.access(req)
-        assert [(o.level, o.hit) for o in req.outcomes] == [("l1d", True)]
-        assert req.latency == core.l1d.latency
+        l2_accesses = core.l2.stats.accesses
+        latency = core.l1_level.access(0x1, block_of(0x1000), False, DEMAND,
+                                       1000.0, 0.0)
+        assert core.l1_level.hit
+        assert latency == core.l1d.latency
+        assert core.l2.stats.accesses == l2_accesses
 
     def test_cold_miss_event_order(self):
         core, uncore = build()
