@@ -6,7 +6,9 @@ with ``tests/data/golden_results.json``, which pins three things:
 * ``digest`` — sha256 of the canonical JSON of the run's
   ``dataclasses.asdict(SimResult)`` (every core's, for a multi-core
   mix) plus its bus counters (``EventBus.counts_flat()``), so any
-  change to a simulated number or to event accounting shows up;
+  change to a simulated number or to event accounting shows up; a
+  telemetry case also digests ``engine.telemetry.export()`` (the
+  interval series and per-core prefetch-lifecycle counts);
 * ``fingerprint`` — ``SimJob.fingerprint()``, the result-cache key;
 * ``warmup_fingerprint`` — ``SimJob.warmup_fingerprint()``, the
   warm-up checkpoint key.
@@ -52,6 +54,10 @@ def _cases():
         l1, l2 = CONFIGS[label]
         cases[f"gap.pr/{label}/telemetry"] = dict(
             workload="gap.pr", l1=l1, l2=l2, telemetry=True)
+    # Per-core lifecycle attribution over a shared LLC.
+    cases["mix2:gap.pr+06.lbm/stride+streamline/telemetry"] = dict(
+        workloads=("gap.pr", "06.lbm"), l1="stride", l2=("streamline",),
+        telemetry=True)
     cases["17.xalancbmk/triangel"] = dict(workload="17.xalancbmk",
                                           l1=None, l2=("triangel",))
     cases["gap.pr/streamline/resumed"] = dict(
@@ -102,7 +108,8 @@ def simulate(job: SimJob, snapshot_dir: pathlib.Path):
     """Run ``job`` on a fresh engine; a resuming job first warms up one
     engine, round-trips its snapshot through the on-disk format, and
     measures on a second engine restored from it.  Returns the single
-    core's SimResult, or every core's for a multi-core job."""
+    core's SimResult, or every core's for a multi-core job, the bus
+    counters, and the telemetry export (None with telemetry off)."""
     engine = job._build_engine()
     if job.resume:
         engine.run_warmup()
@@ -113,16 +120,20 @@ def simulate(job: SimJob, snapshot_dir: pathlib.Path):
         engine.load_state(state)
     results = engine.run().collect()
     result = results if job.kind == "multi" else results[0]
-    return result, engine.bus.counts_flat()
+    telemetry = engine.telemetry.export() \
+        if engine.telemetry is not None else None
+    return result, engine.bus.counts_flat(), telemetry
 
 
-def digest(result, counts) -> str:
+def digest(result, counts, telemetry=None) -> str:
     if isinstance(result, list):
         fields = [dataclasses.asdict(r) for r in result]
     else:
         fields = dataclasses.asdict(result)
-    blob = json.dumps({"result": fields,
-                       "events": counts}, sort_keys=True).encode()
+    payload = {"result": fields, "events": counts}
+    if telemetry is not None:
+        payload["telemetry"] = telemetry
+    blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
