@@ -170,9 +170,11 @@ class StreamlinePrefetcher(Prefetcher):
             self._duel_bus.unsubscribe(EV.ACCESS, self._on_llc_demand)
             self._duel_bus = None
 
-    def _on_llc_demand(self, ev) -> None:
+    def _on_llc_demand(self, kind: str, level: str, core_id: int,
+                       blk: int, pc: int, origin: str, now: float,
+                       hit: bool, was_prefetched: bool, owner: int,
+                       dirty: bool) -> None:
         """LLC-side dueling feed (any core's demand access)."""
-        blk = ev.blk
         offset, step = self._stripe
         llc_set = blk % (self.partitioner.llc_sets * step)
         if llc_set % step != offset:

@@ -9,8 +9,11 @@ write bit, origin, issue cycle, latency so far) and fills on the way
 back up; each level adds its latency share and returns the running
 sum, and keeps its last lookup's outcome.  There is no per-level special
 casing in the demand path itself — everything level- or
-prefetcher-specific (training, usefulness crediting, partition dueling,
-probes) observes :class:`~repro.memory.events.EventBus` events instead.
+prefetcher-specific (training, partition dueling, telemetry, probes)
+observes :class:`~repro.memory.events.EventBus` events instead.  Prefetch
+bookkeeping is the one exception: the publishing site itself updates the
+owning prefetcher's issued/dropped counts and calls its
+``note_useful``/``note_useless``, just before the matching event.
 
 The flow per demand access matches the paper's setup:
 
@@ -39,8 +42,8 @@ from ..prefetchers.base import (Prefetcher, PrefetcherStats, TRAIN_SCOPES,
 from .address import BLOCK_SHIFT
 from .cache import Cache, CacheStats
 from .dram import DRAM
-from .events import EV, EventBus, HierarchyEvent
-from .request import DEMAND, PREFETCH, WRITEBACK
+from .events import EV, EventBus, Subscriber
+from .request import DEMAND, METADATA, PREFETCH, WRITEBACK
 
 
 class SharedUncore:
@@ -48,9 +51,9 @@ class SharedUncore:
 
     The uncore owns the :class:`EventBus` because LLC-side events must
     reach every core's observers (dynamic partitioners duel at the LLC,
-    so they see *every* core's demand traffic, as in hardware).  It also
-    routes prefetch bookkeeping events to the owning prefetcher's
-    :class:`PrefetcherStats`, replacing the old inline credit calls.
+    so they see *every* core's demand traffic, as in hardware).  Its
+    prefetcher registry maps owner ids to prefetchers for the levels'
+    prefetch bookkeeping.
     """
 
     def __init__(self, llc: Cache, dram: DRAM, port_occupancy: float = 1.0,
@@ -65,10 +68,6 @@ class SharedUncore:
         self.demand_llc_accesses = 0
         self.metadata_llc_accesses = 0
         self.bus = bus if bus is not None else EventBus()
-        self.bus.subscribe(EV.PREFETCH_ISSUED, self._on_pf_issued)
-        self.bus.subscribe(EV.PREFETCH_DROPPED, self._on_pf_dropped)
-        self.bus.subscribe(EV.PREFETCH_USEFUL, self._on_pf_useful)
-        self.bus.subscribe(EV.PREFETCH_USELESS, self._on_pf_useless)
 
     def register(self, pf: Prefetcher) -> int:
         owner = self._next_owner
@@ -82,28 +81,6 @@ class SharedUncore:
         delay = max(0.0, self._port_free - now)
         self._port_free = max(now, self._port_free) + self.port_occupancy
         return delay
-
-    # -- prefetch bookkeeping (bus-driven) --------------------------------
-
-    def _on_pf_issued(self, ev: HierarchyEvent) -> None:
-        pf = self.prefetchers.get(ev.owner)
-        if pf is not None:
-            pf.stats.issued += 1
-
-    def _on_pf_dropped(self, ev: HierarchyEvent) -> None:
-        pf = self.prefetchers.get(ev.owner)
-        if pf is not None:
-            pf.stats.dropped += 1
-
-    def _on_pf_useful(self, ev: HierarchyEvent) -> None:
-        pf = self.prefetchers.get(ev.owner)
-        if pf is not None:
-            pf.note_useful(ev.blk, ev.now)
-
-    def _on_pf_useless(self, ev: HierarchyEvent) -> None:
-        pf = self.prefetchers.get(ev.owner)
-        if pf is not None:
-            pf.note_useless(ev.blk, ev.now)
 
     def reset_stats(self) -> None:
         self.llc.stats = CacheStats()
@@ -204,8 +181,8 @@ class UncoreLevel:
         bus.publish(EV.FILL, self.name, self.core_id, blk, pc, origin, ready)
         if evicted is not None:
             bus.publish(EV.EVICTION, self.name, self.core_id, evicted.blk,
-                        evicted.pc, origin, ready, owner=evicted.owner,
-                        dirty=evicted.dirty)
+                        evicted.pc, origin, ready, False, False,
+                        evicted.owner, evicted.dirty)
             if evicted.dirty:
                 uncore.dram.access(evicted.blk, ready, is_write=True)
         return latency + lat
@@ -218,14 +195,14 @@ class UncoreLevel:
         """
         uncore = self.uncore
         uncore.port_delay(now)
-        evicted = uncore.llc.fill(blk, now, pc, dirty=True)
-        uncore.bus.publish(EV.FILL, self.name, self.core_id, blk, pc=pc,
-                           origin=WRITEBACK, now=now, dirty=True)
+        evicted = uncore.llc.fill(blk, now, pc, False, True)
+        bus = uncore.bus
+        bus.publish(EV.FILL, self.name, self.core_id, blk, pc, WRITEBACK,
+                    now, False, False, -1, True)
         if evicted is not None:
-            uncore.bus.publish(EV.EVICTION, self.name, self.core_id,
-                               evicted.blk, pc=evicted.pc, origin=WRITEBACK,
-                               now=now, owner=evicted.owner,
-                               dirty=evicted.dirty)
+            bus.publish(EV.EVICTION, self.name, self.core_id, evicted.blk,
+                        evicted.pc, WRITEBACK, now, False, False,
+                        evicted.owner, evicted.dirty)
             if evicted.dirty:
                 uncore.dram.access(evicted.blk, now, is_write=True)
 
@@ -238,10 +215,16 @@ class CacheLevel:
     publishes the corresponding events.  Level differences (write
     allocation at the L1D, port-mediated writebacks below the L2) live
     in the *wiring*, not in per-level branches on the demand path.
+
+    ``prefetchers`` is the uncore's owner-id registry: a demand hit on an
+    untouched prefetched line calls its owner's ``note_useful``, and a
+    fill that evicts one calls ``note_useless``, each just before the
+    matching event is published.  An unregistered owner is skipped.
     """
 
     def __init__(self, name: str, cache: Cache, core_id: int, bus: EventBus,
                  below: Union["CacheLevel", UncoreLevel],
+                 prefetchers: Dict[int, Prefetcher],
                  sink_writes: bool = False,
                  profiler: Optional[SpanProfiler] = None):
         self.name = name
@@ -249,6 +232,7 @@ class CacheLevel:
         self.core_id = core_id
         self.bus = bus
         self.below = below
+        self.prefetchers = prefetchers
         #: Only the first level sees the access's write bit; dirtiness
         #: enters lower levels through writebacks.
         self.sink_writes = sink_writes
@@ -297,8 +281,11 @@ class CacheLevel:
                     self.core_id, blk, pc, origin, now, hit, was_pf, owner)
         if hit:
             if was_pf:
+                pf = self.prefetchers.get(owner)
+                if pf is not None:
+                    pf.note_useful(blk, now)
                 bus.publish(EV.PREFETCH_USEFUL, self.name, self.core_id,
-                            blk, origin=origin, now=now, owner=owner)
+                            blk, 0, origin, now, False, False, owner)
             return latency + res.latency
         latency = self.below.access(pc, blk, is_write, origin, now,
                                     latency + cache.latency)
@@ -308,20 +295,25 @@ class CacheLevel:
     def fill(self, blk: int, ready: float, pc: int,
              prefetch: bool = False, owner: int = -1,
              origin: str = DEMAND) -> None:
-        """Install a block; credit and write back the victim if needed."""
-        evicted = self.cache.fill(blk, ready, pc, prefetch=prefetch,
-                                  owner=owner)
-        self.bus.publish(EV.FILL, self.name, self.core_id, blk, pc=pc,
-                         origin=PREFETCH if prefetch else origin, now=ready,
-                         owner=owner)
+        """Install a block; report an unused prefetched victim and write
+        back a dirty one."""
+        evicted = self.cache.fill(blk, ready, pc, prefetch, False, owner)
+        bus = self.bus
+        bus.publish(EV.FILL, self.name, self.core_id, blk, pc,
+                    PREFETCH if prefetch else origin, ready, False, False,
+                    owner)
         if evicted is None:
             return
-        self.bus.publish(EV.EVICTION, self.name, self.core_id, evicted.blk,
-                         pc=evicted.pc, origin=origin, now=ready,
-                         owner=evicted.owner, dirty=evicted.dirty)
+        bus.publish(EV.EVICTION, self.name, self.core_id, evicted.blk,
+                    evicted.pc, origin, ready, False, False, evicted.owner,
+                    evicted.dirty)
         if evicted.prefetched and not evicted.pf_touched:
-            self.bus.publish(EV.PREFETCH_USELESS, self.name, self.core_id,
-                             evicted.blk, now=ready, owner=evicted.owner)
+            pf = self.prefetchers.get(evicted.owner)
+            if pf is not None:
+                pf.note_useless(evicted.blk, ready)
+            bus.publish(EV.PREFETCH_USELESS, self.name, self.core_id,
+                        evicted.blk, 0, DEMAND, ready, False, False,
+                        evicted.owner)
         if evicted.dirty:
             self.below.writeback(evicted.blk, evicted.pc, ready)
 
@@ -332,14 +324,14 @@ class CacheLevel:
         intentionally not modelled at private levels; only the uncore
         propagates writeback victims onward to DRAM.
         """
-        evicted = self.cache.fill(blk, now, pc, dirty=True)
-        self.bus.publish(EV.FILL, self.name, self.core_id, blk, pc=pc,
-                         origin=WRITEBACK, now=now, dirty=True)
+        evicted = self.cache.fill(blk, now, pc, False, True)
+        bus = self.bus
+        bus.publish(EV.FILL, self.name, self.core_id, blk, pc, WRITEBACK,
+                    now, False, False, -1, True)
         if evicted is not None:
-            self.bus.publish(EV.EVICTION, self.name, self.core_id,
-                             evicted.blk, pc=evicted.pc, origin=WRITEBACK,
-                             now=now, owner=evicted.owner,
-                             dirty=evicted.dirty)
+            bus.publish(EV.EVICTION, self.name, self.core_id, evicted.blk,
+                        evicted.pc, WRITEBACK, now, False, False,
+                        evicted.owner, evicted.dirty)
 
 
 class CoreHierarchy:
@@ -359,10 +351,11 @@ class CoreHierarchy:
         # access-path rewrite.
         self.uncore_level = UncoreLevel(uncore, core_id, profiler=profiler)
         self.l2_level = CacheLevel("l2", l2, core_id, self.bus,
-                                   self.uncore_level, profiler=profiler)
-        self.l1_level = CacheLevel("l1d", l1d, core_id, self.bus,
-                                   self.l2_level, sink_writes=True,
+                                   self.uncore_level, uncore.prefetchers,
                                    profiler=profiler)
+        self.l1_level = CacheLevel("l1d", l1d, core_id, self.bus,
+                                   self.l2_level, uncore.prefetchers,
+                                   sink_writes=True, profiler=profiler)
         self.l1_prefetcher: Optional[Prefetcher] = None
         self.l2_prefetchers: List[Prefetcher] = []
         # Trainer closures subscribed on behalf of attached prefetchers,
@@ -381,7 +374,7 @@ class CoreHierarchy:
         self.l1_prefetcher = pf
         pf.attach(self)
         for kind in (EV.LOOKUP_HIT, EV.LOOKUP_MISS):
-            trainer = self._make_l1_trainer(pf)
+            trainer = self._make_trainer(pf, "l1d")
             self.bus.subscribe(kind, trainer, level="l1d",
                                core_id=self.core_id)
             self._pf_subs.append((kind, trainer))
@@ -395,7 +388,7 @@ class CoreHierarchy:
         pf.hier = self
         self.l2_prefetchers.append(pf)
         pf.attach(self)
-        trainer = self._make_l2_trainer(pf)
+        trainer = self._make_trainer(pf, "l2")
         self.bus.subscribe(EV.DEMAND_COMPLETE, trainer, core_id=self.core_id)
         self._pf_subs.append((EV.DEMAND_COMPLETE, trainer))
 
@@ -416,67 +409,43 @@ class CoreHierarchy:
         for pf in pfs:
             pf.detach(self)
 
-    def _make_l1_trainer(self, pf: Prefetcher):
-        """L1D training: every demand lookup at this core's L1D (the
-        subscription filters out other levels and cores)."""
+    def _make_trainer(self, pf: Prefetcher, target: str) -> Subscriber:
+        """A trainer for ``pf`` that issues its candidates into
+        ``target``.  The L1D trainer takes every event it is subscribed
+        to: this core's L1D lookups.  The L2 trainer takes this core's
+        demand completions, gated by the prefetcher's train_scope."""
+        every = target == "l1d" or pf.train_scope == TRAIN_SCOPE_ALL_L2
         prof = self.profiler
         if prof is None:
-            def train(ev: HierarchyEvent) -> None:
-                for cand in pf.train(ev.pc, ev.blk, ev.hit,
-                                     ev.was_prefetched, ev.now):
-                    self.issue_prefetch(cand, ev.pc, ev.now, pf.owner_id,
-                                        "l1d")
+            def train(kind: str, level: str, core_id: int, blk: int,
+                      pc: int, origin: str, now: float, hit: bool,
+                      was_prefetched: bool, owner: int,
+                      dirty: bool) -> None:
+                if every or not hit or was_prefetched:
+                    for cand in pf.train(pc, blk, hit, was_prefetched, now):
+                        self.issue_prefetch(cand, pc, now, pf.owner_id,
+                                            target)
             return train
         train_span = "train:" + pf.name
         issue_span = "issue:" + pf.name
 
-        def train_profiled(ev: HierarchyEvent) -> None:
-            prof.start(train_span)
-            try:
-                cands = list(pf.train(ev.pc, ev.blk, ev.hit,
-                                      ev.was_prefetched, ev.now))
-            finally:
-                prof.stop()
-            if cands:
-                prof.start(issue_span)
-                try:
-                    for cand in cands:
-                        self.issue_prefetch(cand, ev.pc, ev.now,
-                                            pf.owner_id, "l1d")
-                finally:
-                    prof.stop()
-        return train_profiled
-
-    def _make_l2_trainer(self, pf: Prefetcher):
-        """L2 training: this core's demand completions, gated by the
-        prefetcher's declared train_scope."""
-        all_l2 = pf.train_scope == TRAIN_SCOPE_ALL_L2
-        prof = self.profiler
-        if prof is None:
-            def train(ev: HierarchyEvent) -> None:
-                if all_l2 or not ev.hit or ev.was_prefetched:
-                    for cand in pf.train(ev.pc, ev.blk, ev.hit,
-                                         ev.was_prefetched, ev.now):
-                        self.issue_prefetch(cand, ev.pc, ev.now,
-                                            pf.owner_id, "l2")
-            return train
-        train_span = "train:" + pf.name
-        issue_span = "issue:" + pf.name
-
-        def train_profiled(ev: HierarchyEvent) -> None:
-            if all_l2 or not ev.hit or ev.was_prefetched:
+        def train_profiled(kind: str, level: str, core_id: int, blk: int,
+                           pc: int, origin: str, now: float, hit: bool,
+                           was_prefetched: bool, owner: int,
+                           dirty: bool) -> None:
+            if every or not hit or was_prefetched:
                 prof.start(train_span)
                 try:
-                    cands = list(pf.train(ev.pc, ev.blk, ev.hit,
-                                          ev.was_prefetched, ev.now))
+                    cands = list(pf.train(pc, blk, hit, was_prefetched,
+                                          now))
                 finally:
                     prof.stop()
                 if cands:
                     prof.start(issue_span)
                     try:
                         for cand in cands:
-                            self.issue_prefetch(cand, ev.pc, ev.now,
-                                                pf.owner_id, "l2")
+                            self.issue_prefetch(cand, pc, now, pf.owner_id,
+                                                target)
                     finally:
                         prof.stop()
         return train_profiled
@@ -488,13 +457,18 @@ class CoreHierarchy:
         """Fetch ``blk`` into ``target`` on behalf of prefetcher ``owner``.
 
         Returns False (and counts a drop) if the block is already cached
-        at or above the target level.
+        in the target level.  The owner's ``stats.issued``/``dropped``
+        are bumped just before the matching event is published; an
+        unregistered owner keeps no stats.
         """
+        pf = self.uncore.prefetchers.get(owner)
+        bus = self.bus
         if target == "l1d":
             if self.l1d.probe(blk):
-                self.bus.publish(EV.PREFETCH_DROPPED, "l1d", self.core_id,
-                                 blk, pc=pc, origin=PREFETCH, now=now,
-                                 owner=owner)
+                if pf is not None:
+                    pf.stats.dropped += 1
+                bus.publish(EV.PREFETCH_DROPPED, "l1d", self.core_id, blk,
+                            pc, PREFETCH, now, False, False, owner)
                 return False
             if self.l2.probe(blk):
                 lat: float = self.l2.latency
@@ -502,22 +476,25 @@ class CoreHierarchy:
                 lat = self.l2.latency + self.uncore_level.access(
                     pc, blk, False, PREFETCH, now, 0.0)
                 self.l2_level.fill(blk, now + lat, pc)  # fill on the way up
-            self.l1_level.fill(blk, now + lat, pc, prefetch=True,
-                               owner=owner, origin=PREFETCH)
-            self.bus.publish(EV.PREFETCH_ISSUED, "l1d", self.core_id, blk,
-                             pc=pc, origin=PREFETCH, now=now, owner=owner)
+            self.l1_level.fill(blk, now + lat, pc, True, owner, PREFETCH)
+            if pf is not None:
+                pf.stats.issued += 1
+            bus.publish(EV.PREFETCH_ISSUED, "l1d", self.core_id, blk, pc,
+                        PREFETCH, now, False, False, owner)
         else:
             if self.l2.probe(blk):
-                self.bus.publish(EV.PREFETCH_DROPPED, "l2", self.core_id,
-                                 blk, pc=pc, origin=PREFETCH, now=now,
-                                 owner=owner)
+                if pf is not None:
+                    pf.stats.dropped += 1
+                bus.publish(EV.PREFETCH_DROPPED, "l2", self.core_id, blk,
+                            pc, PREFETCH, now, False, False, owner)
                 return False
             lat = self.uncore_level.access(pc, blk, False, PREFETCH, now,
                                            0.0)
-            self.l2_level.fill(blk, now + lat, pc, prefetch=True,
-                               owner=owner, origin=PREFETCH)
-            self.bus.publish(EV.PREFETCH_ISSUED, "l2", self.core_id, blk,
-                             pc=pc, origin=PREFETCH, now=now, owner=owner)
+            self.l2_level.fill(blk, now + lat, pc, True, owner, PREFETCH)
+            if pf is not None:
+                pf.stats.issued += 1
+            bus.publish(EV.PREFETCH_ISSUED, "l2", self.core_id, blk, pc,
+                        PREFETCH, now, False, False, owner)
         return True
 
     # -- temporal metadata path --------------------------------------------------
@@ -537,7 +514,7 @@ class CoreHierarchy:
         self.uncore.metadata_llc_accesses += 1
         delay = self.uncore.port_delay(now)
         self.bus.publish(EV.METADATA_WRITE if is_write else EV.METADATA_READ,
-                         "llc", self.core_id, -1, origin="metadata", now=now)
+                         "llc", self.core_id, -1, 0, METADATA, now)
         return delay + self.uncore.llc.latency
 
     # -- the demand path ---------------------------------------------------------

@@ -81,8 +81,10 @@ class TestPrefetchTracking:
         c = make_cache()
         c.fill(5, 0.0, prefetch=True, owner=3)
         r1 = c.lookup(5, 1.0)
-        r2 = c.lookup(5, 2.0)
+        # The result record is the cache's own: read it before the
+        # next lookup rewrites it.
         assert r1.was_prefetched and r1.owner == 3
+        r2 = c.lookup(5, 2.0)
         assert not r2.was_prefetched
         assert c.stats.useful_prefetches == 1
 
@@ -169,28 +171,28 @@ def test_capacity_never_exceeded(blocks):
 
 
 def test_cache_free_ways_stays_exact():
-    """``Cache.free_ways`` (the O(1) "any invalid way?" check in
-    ``fill``) must track the invalid-way count through fills,
-    invalidations, and partition resizes."""
+    """``Cache.free_mask`` (the per-set bitmask ``fill`` takes its
+    lowest free way from) must track the invalid ways of the data
+    partition through fills, invalidations, and partition resizes."""
     cache = Cache("L", 64 * 4 * 8, 4, 1)
 
     def recount():
-        return [sum(1 for line in row[:nd] if not line.valid)
+        return [sum(1 << w for w in range(nd) if not row[w].valid)
                 for row, nd in zip(cache.lines, cache._data_ways)]
 
     rng = np.random.default_rng(7)
     for blk in rng.integers(0, 256, size=400).tolist():
         cache.fill(int(blk), 0.0)
-        assert cache.free_ways == recount()
+        assert cache.free_mask == recount()
     for blk in rng.integers(0, 256, size=64).tolist():
         cache.invalidate(int(blk))
-        assert cache.free_ways == recount()
+        assert cache.free_mask == recount()
     for s in range(cache.num_sets):
         cache.set_data_ways(s, 2)
-        assert cache.free_ways == recount()
+        assert cache.free_mask == recount()
         cache.set_data_ways(s, 4)
-        assert cache.free_ways == recount()
+        assert cache.free_mask == recount()
     state = cache.state_dict()
     fresh = Cache("L", 64 * 4 * 8, 4, 1)
     fresh.load_state(state)
-    assert fresh.free_ways == cache.free_ways
+    assert fresh.free_mask == cache.free_mask

@@ -112,8 +112,8 @@ def test_cache_matches_way_scan_model(ops):
         assert residency(cache) == model.residency()
         assert cache.tag_index == {blk: fields[0] for blk, fields
                                    in model.residency().items()}
-        assert cache.free_ways == [
-            sum(1 for line in row[:nd] if not line.valid)
+        assert cache.free_mask == [
+            sum(1 << w for w in range(nd) if not row[w].valid)
             for row, nd in zip(cache.lines, cache._data_ways)]
         assert cache.stats.as_dict() == {
             k: stats[k] for k in cache.stats.as_dict()}

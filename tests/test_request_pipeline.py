@@ -41,7 +41,7 @@ class TestEventBus:
     def test_unknown_kind_rejected(self):
         bus = EventBus()
         with pytest.raises(ValueError, match="unknown event kind"):
-            bus.subscribe("no-such-event", lambda ev: None)
+            bus.subscribe("no-such-event", lambda *ev: None)
 
     def test_counts_without_subscribers(self):
         bus = EventBus()
@@ -55,8 +55,10 @@ class TestEventBus:
     def test_delivery_order_and_unsubscribe(self):
         bus = EventBus()
         seen = []
-        first = lambda ev: seen.append(("first", ev.blk))   # noqa: E731
-        second = lambda ev: seen.append(("second", ev.blk))  # noqa: E731
+        first = lambda k, lv, c, blk, *_: seen.append(  # noqa: E731
+            ("first", blk))
+        second = lambda k, lv, c, blk, *_: seen.append(  # noqa: E731
+            ("second", blk))
         bus.subscribe(EV.FILL, first)
         bus.subscribe(EV.FILL, second)
         bus.publish(EV.FILL, "l2", 0, 7)
@@ -72,10 +74,10 @@ class TestEventRouting:
     def test_filtered_and_unfiltered_keep_subscription_order(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(EV.FILL, lambda ev: seen.append("all"))
-        bus.subscribe(EV.FILL, lambda ev: seen.append("l2"), level="l2")
-        bus.subscribe(EV.FILL, lambda ev: seen.append("core0"), core_id=0)
-        bus.subscribe(EV.FILL, lambda ev: seen.append("last"))
+        bus.subscribe(EV.FILL, lambda *ev: seen.append("all"))
+        bus.subscribe(EV.FILL, lambda *ev: seen.append("l2"), level="l2")
+        bus.subscribe(EV.FILL, lambda *ev: seen.append("core0"), core_id=0)
+        bus.subscribe(EV.FILL, lambda *ev: seen.append("last"))
         bus.publish(EV.FILL, "l2", 0, 7)
         assert seen == ["all", "l2", "core0", "last"]
         seen.clear()
@@ -85,13 +87,14 @@ class TestEventRouting:
     def test_filters_receive_exactly_the_matching_events(self):
         bus = EventBus()
         got = {"level": [], "core": [], "origin": [], "all": []}
-        bus.subscribe(EV.FILL, lambda ev: got["level"].append(ev.blk),
-                      level="l1d")
-        bus.subscribe(EV.FILL, lambda ev: got["core"].append(ev.blk),
-                      core_id=2)
-        bus.subscribe(EV.FILL, lambda ev: got["origin"].append(ev.blk),
-                      origin="prefetch")
-        bus.subscribe(EV.FILL, lambda ev: got["all"].append(ev.blk),
+        bus.subscribe(EV.FILL, lambda k, lv, c, blk, *_:
+                      got["level"].append(blk), level="l1d")
+        bus.subscribe(EV.FILL, lambda k, lv, c, blk, *_:
+                      got["core"].append(blk), core_id=2)
+        bus.subscribe(EV.FILL, lambda k, lv, c, blk, *_:
+                      got["origin"].append(blk), origin="prefetch")
+        bus.subscribe(EV.FILL, lambda k, lv, c, blk, *_:
+                      got["all"].append(blk),
                       level="l2", core_id=1, origin="writeback")
         blk = 0
         events = []
@@ -112,8 +115,8 @@ class TestEventRouting:
     def test_unsubscribe_reroutes_the_next_publish(self):
         bus = EventBus()
         seen = []
-        a = lambda ev: seen.append(("a", ev.blk))   # noqa: E731
-        b = lambda ev: seen.append(("b", ev.blk))   # noqa: E731
+        a = lambda k, lv, c, blk, *_: seen.append(("a", blk))  # noqa: E731
+        b = lambda k, lv, c, blk, *_: seen.append(("b", blk))  # noqa: E731
         bus.subscribe(EV.FILL, a, level="l2")
         bus.subscribe(EV.FILL, b)
         bus.publish(EV.FILL, "l2", 0, 1)            # compiles the route
@@ -127,12 +130,13 @@ class TestEventRouting:
         bus = EventBus()
         seen = []
 
-        def once(ev):
-            seen.append(("once", ev.blk))
+        def once(kind, level, core_id, blk, *_):
+            seen.append(("once", blk))
             bus.unsubscribe(EV.FILL, once)
 
         bus.subscribe(EV.FILL, once)
-        bus.subscribe(EV.FILL, lambda ev: seen.append(("after", ev.blk)))
+        bus.subscribe(EV.FILL, lambda k, lv, c, blk, *_:
+                      seen.append(("after", blk)))
         bus.publish(EV.FILL, "l2", 0, 1)
         bus.publish(EV.FILL, "l2", 0, 2)
         # The publish in flight finishes its compiled route; the next
@@ -152,30 +156,23 @@ class TestEventRouting:
         assert len(pf.events) == 2
         assert uncore.bus.count(EV.LOOKUP_MISS, level="l1d") == before + 1
 
-    def test_unmatched_publish_counts_but_builds_no_event(self, monkeypatch):
-        import repro.memory.events as events
-        built = []
-
-        class Counting(events.HierarchyEvent):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                built.append(args[0])
-                super().__init__(*args)
-
-        monkeypatch.setattr(events, "HierarchyEvent", Counting)
+    def test_unmatched_publish_counts_but_builds_no_event(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(EV.FILL, seen.append, level="l1d", core_id=0)
+        bus.subscribe(EV.FILL, lambda *ev: seen.append(ev), level="l1d",
+                      core_id=0)
         bus.publish(EV.FILL, "l2", 0, 1)          # wrong level
         bus.publish(EV.FILL, "l1d", 1, 2)         # wrong core
         bus.publish(EV.EVICTION, "l1d", 0, 3)     # nobody subscribed
-        assert built == []
+        assert seen == []
         assert bus.counts_flat() == {"eviction@l1d:demand": 1,
                                      "fill@l1d:demand": 1,
                                      "fill@l2:demand": 1}
-        bus.publish(EV.FILL, "l1d", 0, 4)
-        assert built == [EV.FILL] and [ev.blk for ev in seen] == [4]
+        # A match is delivered as the event's fields, positionally.
+        bus.publish(EV.FILL, "l1d", 0, 4, 0x40, "prefetch", 9.0, False,
+                    False, 3, True)
+        assert seen == [(EV.FILL, "l1d", 0, 4, 0x40, "prefetch", 9.0,
+                         False, False, 3, True)]
 
     def test_counters_survive_reset_and_round_trip(self):
         def traffic(bus):
@@ -185,7 +182,7 @@ class TestEventRouting:
                 bus.publish(EV.FILL, "llc", core, 1, origin="writeback")
 
         bus = EventBus()
-        bus.subscribe(EV.FILL, lambda ev: None, core_id=0)
+        bus.subscribe(EV.FILL, lambda *ev: None, core_id=0)
         traffic(bus)
         flat = bus.counts_flat()
         state = bus.state_dict()
@@ -208,7 +205,7 @@ class TestEventRouting:
     def test_unknown_level_or_origin_rejected(self, filt):
         bus = EventBus()
         with pytest.raises(ValueError, match="unknown"):
-            bus.subscribe(EV.FILL, lambda ev: None, **filt)
+            bus.subscribe(EV.FILL, lambda *ev: None, **filt)
         assert bus.subscriber_count() == 0
 
 
@@ -241,7 +238,7 @@ class TestRequestPipeline:
         order = []
         for kind in EV.ALL:
             uncore.bus.subscribe(
-                kind, lambda ev, k=kind: order.append((k, ev.level)))
+                kind, lambda k, level, *_: order.append((k, level)))
         core.access(0x1, 0x1000, False, 0.0)
         assert order == [
             (EV.LOOKUP_MISS, "l1d"),
@@ -253,6 +250,32 @@ class TestRequestPipeline:
             (EV.FILL, "l1d"),
             (EV.DEMAND_COMPLETE, "l2"),
         ]
+
+    def test_prefetch_stats_are_bumped_before_the_event(self):
+        """Prefetch bookkeeping runs at the publishing site just before
+        each prefetch event, so any subscriber already sees it."""
+        core, uncore = build()
+        pf = Recorder()
+        owner = uncore.register(pf)
+        seen = []
+        fields = {EV.PREFETCH_ISSUED: "issued",
+                  EV.PREFETCH_DROPPED: "dropped",
+                  EV.PREFETCH_USEFUL: "useful",
+                  EV.PREFETCH_USELESS: "useless_evictions"}
+        for kind, field in fields.items():
+            uncore.bus.subscribe(
+                kind, lambda k, *_, f=field: seen.append(
+                    (k, getattr(pf.stats, f))))
+        sets = core.l2.num_sets
+        assert core.issue_prefetch(0, 0x1, 0.0, owner, "l2")
+        assert not core.issue_prefetch(0, 0x1, 1.0, owner, "l2")
+        assert core.issue_prefetch(sets, 0x1, 2.0, owner, "l2")
+        core.access(0x1, 0, False, 1000.0)       # L2 hit on block 0
+        for k in range(2, 2 + core.l2.ways):     # evict block `sets`
+            core.access(0x1, k * sets * 64, False, 2000.0 + k)
+        assert seen == [(EV.PREFETCH_ISSUED, 1), (EV.PREFETCH_DROPPED, 1),
+                        (EV.PREFETCH_ISSUED, 2), (EV.PREFETCH_USEFUL, 1),
+                        (EV.PREFETCH_USELESS, 1)]
 
     def test_l1_hit_publishes_no_demand_complete(self):
         core, uncore = build()

@@ -105,7 +105,7 @@ class TestConservation:
 class TestBusHygiene:
     def test_double_unsubscribe_is_noop(self):
         bus = EventBus()
-        fn = lambda ev: None  # noqa: E731
+        fn = lambda *ev: None  # noqa: E731
         bus.subscribe(EV.FILL, fn)
         assert bus.subscriber_count(EV.FILL) == 1
         bus.unsubscribe(EV.FILL, fn)
@@ -116,8 +116,8 @@ class TestBusHygiene:
 
     def test_subscriber_count_per_kind_and_total(self):
         bus = EventBus()
-        a = lambda ev: None  # noqa: E731
-        b = lambda ev: None  # noqa: E731
+        a = lambda *ev: None  # noqa: E731
+        b = lambda *ev: None  # noqa: E731
         bus.subscribe(EV.FILL, a)
         bus.subscribe(EV.FILL, b)
         bus.subscribe(EV.EVICTION, a)
@@ -126,7 +126,8 @@ class TestBusHygiene:
         assert bus.subscriber_count() == 3
 
     def test_run_leaves_no_observer_subscriptions(self):
-        # Baseline: what a bare uncore subscribes for its own stats.
+        # Baseline: what a bare uncore subscribes (nothing: the levels
+        # keep prefetch stats at the publishing site).
         bare = SharedUncore(Cache("LLC", 64 * 1024, 16, 20), DRAM())
         baseline = bare.bus.subscriber_count()
         engine = run_engine("gap.pr", "streamline")
