@@ -356,14 +356,17 @@ class Engine:
 
         Stops after ``limit`` records (0: no limit), once every core has
         crossed its warm-up boundary (``until_warm``), or when every
-        stream is exhausted.  With ``marks``, every step in the measured
-        region counts towards the periodic mark hook.
+        stream is exhausted.  With ``marks``, every step taken after all
+        cores have crossed their warm-up boundary counts towards the
+        periodic mark hook, so the step that crosses the last boundary
+        does not, whether warm-up ran in this call or an earlier one.
         """
         heap = self._heap
         single = self.num_cores == 1
         iters, models, cores = self._iters, self.models, self.cores
         counts, warmups = self._counts, self._warmups
         every = self._mark_every if marks else 0
+        num_cores = self.num_cores
         done = 0
         while heap:
             i = 0 if single else heapq.heappop(heap)[1]
@@ -379,18 +382,19 @@ class Engine:
             latency = cores[i].access(pc, addr, is_write, now)
             model.complete_access(now, latency, is_write)
             counts[i] += 1
+            measured = every and self._warmed == num_cores
             if counts[i] == warmups[i] and self._warm_marks[i] is None:
                 self._cross_warmup(i)
             if not single:
                 heapq.heappush(heap, (model.clock, i))
             done += 1
-            if every and self._warmed == self.num_cores:
+            if measured:
                 self._measured_steps += 1
                 if self._measured_steps % every == 0 and \
                         self._on_mark is not None:
                     self._on_mark(self)
             if done == limit or \
-                    (until_warm and self._warmed == self.num_cores):
+                    (until_warm and self._warmed == num_cores):
                 break
         return done
 

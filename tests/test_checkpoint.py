@@ -300,9 +300,9 @@ def test_resume_skips_already_fired_marks():
     snaps = []
     engine.set_mark_hook(1000, lambda e: snaps.append(e.state_dict()))
     straight = engine.run().collect()
-    # The warm-boundary step counts as measured step 1, so marks fire
-    # after records warm-1+k*every (warm = 4000 of 8000 records).
-    assert [s["counts"][0] for s in snaps] == [4999, 5999, 6999, 7999]
+    # Measured steps start after the warm-boundary record, so marks
+    # fire after records warm+k*every (warm = 4000 of 8000 records).
+    assert [s["counts"][0] for s in snaps] == [5000, 6000, 7000, 8000]
     fresh = small_engine("streamline")
     fired = []
     fresh.set_mark_hook(1000, lambda e: fired.append(

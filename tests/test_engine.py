@@ -174,6 +174,30 @@ class TestStepping:
         assert split.bus.counts_flat() == straight.bus.counts_flat()
         assert fired["split"] == fired["straight"] == 4
 
+    @pytest.mark.parametrize("two_cores", [False, True])
+    def test_marks_fire_at_the_same_records_in_both_drive_orders(
+            self, tiny_config, two_cores):
+        """run() alone and run_warmup() then run() count the same
+        measured steps: the record that crosses the last warm-up
+        boundary is not one of them."""
+        config = dataclasses.replace(tiny_config, warmup_fraction=0.5)
+        fired = {}
+
+        def engine(name):
+            e = self.two_cores(config) if two_cores else \
+                Engine([chase_trace(n=4000)], config)
+            fired[name] = []
+            e.set_mark_hook(500, lambda e: fired[name].append(
+                list(e._counts)))
+            return e
+
+        engine("straight").run()
+        engine("split").run_warmup().run()
+        assert fired["straight"] == fired["split"]
+        if not two_cores:
+            # Warm-up ends with record 2,000.
+            assert fired["straight"] == [[2500], [3000], [3500], [4000]]
+
     def test_single_core_skips_the_heap(self, tiny_config, chase,
                                         monkeypatch):
         want = run_single(chase, tiny_config)
